@@ -11,7 +11,8 @@ Five subcommands over the :class:`~repro.study.Study` facade and the
 
 ``sweep``
     A grid over the paper's axes; comma-separated flag values become sweep
-    axes (``--restartable both`` is shorthand for ``on,off``)::
+    axes (``--restartable both`` is shorthand for ``on,off``), validated by
+    the same compiler as a suite file's ``axes:``::
 
         python -m repro sweep --mitigation-cost 2,5,10 --restartable both \\
             --store runs/
@@ -80,7 +81,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.config import ScenarioConfig
 from repro.evaluation.costs import CostBreakdown
@@ -89,65 +90,34 @@ from repro.evaluation.report import format_cost_table, format_metrics_table
 from repro.evaluation.sweep import SweepSpec
 from repro.store import ArtifactStore
 from repro.study import Study
-from repro.telemetry.records import MANUFACTURER_NAMES
+from repro.suite import PRESETS, SuiteError, compile_axes, load_suite, run_suite
 from repro.utils.profiling import format_profile
 from repro.utils.timeutils import DAY
 
 __all__ = ["main", "build_parser"]
 
-PRESETS = ("small", "benchmark", "paper")
+#: The ``run``/``sweep`` axis flags, keyed by the :class:`SweepSpec` axis
+#: each one feeds; their values compile through the suite's axis compiler.
+_AXIS_FLAGS = {
+    "mitigation_costs": "--mitigation-cost",
+    "restartable": "--restartable",
+    "manufacturers": "--manufacturer",
+    "job_scales": "--job-scale",
+    "seeds": "--seeds",
+}
 
 
 # --------------------------------------------------------------------- #
 # Flag value parsing
 # --------------------------------------------------------------------- #
-def _parse_floats(text: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _parse_ints(text: str) -> List[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_restartable(text: str) -> List[bool]:
-    """``on`` / ``off`` / ``both`` / any comma combination thereof."""
-    if text == "both":
-        return [True, False]
-    values: List[bool] = []
-    for part in text.split(","):
-        if part == "on":
-            values.append(True)
-        elif part == "off":
-            values.append(False)
-        else:
-            raise argparse.ArgumentTypeError(
-                f"restartable values are 'on', 'off' or 'both', got {part!r}"
-            )
-    return values
-
-
-def _parse_manufacturers(text: str) -> List[Optional[int]]:
-    """``all`` (whole fleet), a manufacturer letter, or an index."""
-    values: List[Optional[int]] = []
-    for part in text.split(","):
-        if part == "all":
-            values.append(None)
-        elif part.upper() in MANUFACTURER_NAMES:
-            values.append(MANUFACTURER_NAMES.index(part.upper()))
-        elif part.isdigit():
-            values.append(int(part))
-        else:
-            raise argparse.ArgumentTypeError(
-                f"manufacturer values are 'all', one of "
-                f"{'/'.join(MANUFACTURER_NAMES)}, or an index; got {part!r}"
-            )
-    return values
+def _axis_token(text: str) -> Any:
+    """One comma-separated flag token as a suite file would hold it."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _parse_shard(text: str):
@@ -164,17 +134,6 @@ def _parse_shard(text: str):
             f"shard index must satisfy 0 <= I < N, got {text!r}"
         )
     return (index, count)
-
-
-def _single(values, flag: str):
-    if values is None:
-        return None
-    if len(values) != 1:
-        raise SystemExit(
-            f"error: `run` takes exactly one value for {flag} "
-            f"(got {len(values)}); use the `sweep` subcommand for grids"
-        )
-    return values[0]
 
 
 # --------------------------------------------------------------------- #
@@ -215,15 +174,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         help="executor backend",
     )
     parser.add_argument(
-        "--rl-trial-tasks",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="run each split's RL hyperparameter trials as independent "
-        "executor tasks (default: on; --no-rl-trial-tasks restores the "
-        "in-task trial loop — results are identical, only the schedule "
-        "changes — but is deprecated and emits a DeprecationWarning)",
-    )
-    parser.add_argument(
         "--charge-training-time",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -262,28 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment")
     _add_scenario_flags(run)
-    run.add_argument("--mitigation-cost", type=_parse_floats, default=None,
-                     metavar="NODE_MINUTES")
-    run.add_argument("--restartable", type=_parse_restartable, default=None,
-                     metavar="on|off")
-    run.add_argument("--manufacturer", type=_parse_manufacturers, default=None,
-                     metavar="all|A|B|C")
-    run.add_argument("--job-scale", type=_parse_floats, default=None, metavar="FACTOR")
+    run.add_argument("--mitigation-cost", metavar="NODE_MINUTES")
+    run.add_argument("--restartable", metavar="on|off")
+    run.add_argument("--manufacturer", metavar="all|A|B|C")
+    run.add_argument("--job-scale", metavar="FACTOR")
     _add_experiment_flags(run)
     run.add_argument("--metrics", action="store_true",
                      help="also print the Table 2 classical-ML metrics")
 
     sweep = sub.add_parser("sweep", help="run a grid over the paper's axes")
     _add_scenario_flags(sweep)
-    sweep.add_argument("--mitigation-cost", type=_parse_floats, default=None,
-                       metavar="2,5,10")
-    sweep.add_argument("--restartable", type=_parse_restartable, default=None,
-                       metavar="on|off|both")
-    sweep.add_argument("--manufacturer", type=_parse_manufacturers, default=None,
-                       metavar="all,A,B,C")
-    sweep.add_argument("--job-scale", type=_parse_floats, default=None,
-                       metavar="0.1,1,10")
-    sweep.add_argument("--seeds", type=_parse_ints, default=None, metavar="1,2,3")
+    sweep.add_argument("--mitigation-cost", metavar="2,5,10")
+    sweep.add_argument("--restartable", metavar="on|off|both")
+    sweep.add_argument("--manufacturer", metavar="all,A,B,C")
+    sweep.add_argument("--job-scale", metavar="0.1,1,10")
+    sweep.add_argument("--seeds", metavar="1,2,3")
     _add_experiment_flags(sweep)
     sweep.add_argument("--which", default="total",
                        choices=CostBreakdown.series_fields(),
@@ -524,8 +467,6 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["n_workers"] = args.workers
     if args.executor is not None:
         overrides["executor_kind"] = args.executor
-    if args.rl_trial_tasks is not None:
-        overrides["rl_trial_tasks"] = args.rl_trial_tasks
     if args.charge_training_time is not None:
         overrides["charge_training_time"] = args.charge_training_time
     if args.profile:
@@ -561,28 +502,72 @@ def _executor_summary(stats) -> Optional[str]:
     )
 
 
+def _spec_from_args(args) -> SweepSpec:
+    """The sweep the axis flags describe, compiled like a suite block's axes.
+
+    The flags only split on commas (``--restartable both`` is ``on,off``);
+    the suite's validators decide the rest.  A bad value exits with one
+    line on stderr naming the flag.
+    """
+    base = _scenario_from_args(args)
+    raw = {}
+    for axis, flag in _AXIS_FLAGS.items():
+        text = getattr(args, flag[2:].replace("-", "_"), None)
+        if text is None:
+            continue
+        if axis == "restartable" and text == "both":
+            text = "on,off"
+        raw[axis] = [_axis_token(part) for part in text.split(",") if part]
+    try:
+        spec = SweepSpec(base=base, **compile_axes(raw, _AXIS_FLAGS.get))
+        spec.points()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    return spec
+
+
 def _store_from_args(args) -> Optional[ArtifactStore]:
     return None if args.store is None else ArtifactStore(args.store)
+
+
+def _check_distributed_flags(args, store: Optional[ArtifactStore]) -> List[str]:
+    """Validate the distributed-execution flags; return the chosen modes."""
+    chosen = [
+        flag
+        for flag, on in (
+            ("--shard", args.shard is not None),
+            ("--claim", args.claim),
+            ("--status", getattr(args, "status", False)),
+            ("--reduce", getattr(args, "reduce", False)),
+        )
+        if on
+    ]
+    if len(chosen) > 1:
+        raise SystemExit(f"error: {' and '.join(chosen)} are mutually exclusive")
+    if chosen and store is None:
+        raise SystemExit(
+            f"error: {chosen[0]} coordinates workers through a shared "
+            f"store; pass --store DIR"
+        )
+    if args.worker_id is not None and not args.claim:
+        raise SystemExit("error: --worker-id only applies to --claim workers")
+    if args.lease_ttl is not None and not args.claim:
+        raise SystemExit("error: --lease-ttl only applies to --claim workers")
+    return chosen
 
 
 # --------------------------------------------------------------------- #
 # Subcommands
 # --------------------------------------------------------------------- #
 def _cmd_run(args) -> int:
-    scenario = _scenario_from_args(args)
-    cost = _single(args.mitigation_cost, "--mitigation-cost")
-    if cost is not None:
-        scenario = scenario.with_mitigation_cost(cost)
-    restartable = _single(args.restartable, "--restartable")
-    if restartable is not None:
-        scenario = scenario.with_restartable(restartable)
-    if args.manufacturer is not None:
-        scenario = scenario.with_manufacturer(
-            _single(args.manufacturer, "--manufacturer")
+    points = _spec_from_args(args).points()
+    if len(points) != 1:
+        raise SystemExit(
+            f"error: `run` takes exactly one value per axis flag (got "
+            f"{len(points)} points); use the `sweep` subcommand for grids"
         )
-    scale = _single(args.job_scale, "--job-scale")
-    if scale is not None:
-        scenario = scenario.with_job_scale(scale)
+    scenario = points[0].scenario
 
     study = Study.from_scenario(scenario, store=_store_from_args(args))
     result = study.run(_config_from_args(args))
@@ -646,43 +631,10 @@ def _run_distributed_sweep(args, spec, config, store):
 
 
 def _cmd_sweep(args) -> int:
-    def axis(values):
-        return None if values is None else tuple(values)
-
-    spec = SweepSpec(
-        base=_scenario_from_args(args),
-        mitigation_costs=axis(args.mitigation_cost),
-        restartable=axis(args.restartable),
-        manufacturers=axis(args.manufacturer),
-        job_scales=axis(args.job_scale),
-        seeds=axis(args.seeds),
-    )
+    spec = _spec_from_args(args)
     store = _store_from_args(args)
     config = _config_from_args(args)
-
-    chosen = [
-        flag
-        for flag, on in (
-            ("--shard", args.shard is not None),
-            ("--claim", args.claim),
-            ("--status", args.status),
-            ("--reduce", args.reduce),
-        )
-        if on
-    ]
-    if len(chosen) > 1:
-        raise SystemExit(
-            f"error: {' and '.join(chosen)} are mutually exclusive"
-        )
-    if chosen and store is None:
-        raise SystemExit(
-            f"error: {chosen[0]} coordinates workers through a shared "
-            f"store; pass --store DIR"
-        )
-    if args.worker_id is not None and not args.claim:
-        raise SystemExit("error: --worker-id only applies to --claim workers")
-    if args.lease_ttl is not None and not args.claim:
-        raise SystemExit("error: --lease-ttl only applies to --claim workers")
+    chosen = _check_distributed_flags(args, store)
 
     if args.status:
         return _print_sweep_status(spec, config, store)
@@ -719,8 +671,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from repro.suite import SuiteError, load_suite, run_suite
-
     try:
         suite = load_suite(args.suite_file)
     except SuiteError as exc:
@@ -749,18 +699,7 @@ def _cmd_suite(args) -> int:
 
     store = _store_from_args(args)
     config = _config_from_args(args)
-    if args.shard is not None and args.claim:
-        raise SystemExit("error: --shard and --claim are mutually exclusive")
-    if (args.shard is not None or args.claim) and store is None:
-        flag = "--shard" if args.shard is not None else "--claim"
-        raise SystemExit(
-            f"error: {flag} coordinates workers through a shared store; "
-            f"pass --store DIR"
-        )
-    if args.worker_id is not None and not args.claim:
-        raise SystemExit("error: --worker-id only applies to --claim workers")
-    if args.lease_ttl is not None and not args.claim:
-        raise SystemExit("error: --lease-ttl only applies to --claim workers")
+    _check_distributed_flags(args, store)
 
     try:
         results = run_suite(

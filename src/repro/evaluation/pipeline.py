@@ -24,16 +24,15 @@ per (split × approach group) through :mod:`repro.evaluation.executor`, so
 e.g. the random-forest family of split 3 trains while the RL agent of split
 1 is still learning.  The dominant "rl" group additionally decomposes into
 one :func:`run_rl_trial` task per hyperparameter candidate plus a
-:func:`run_rl_reduce` select-best task per split
-(``ExperimentConfig.rl_trial_tasks``): only the warm-started trial 0 rides
-the cross-split chain, while the remaining trials fan out across idle
-workers.  All randomness is drawn from keyed
+:func:`run_rl_reduce` select-best task per split: only the warm-started
+trial 0 rides the cross-split chain, while the remaining trials fan out
+across idle workers.  All randomness is drawn from keyed
 :class:`~repro.utils.rng.RngFactory` streams (per-trial settings are
 pre-drawn from one sequential stream per split), which makes every task
-self-seeding: serial and parallel schedules — and both ``rl_trial_tasks``
-shapes — produce identical results (wall-clock training-cost accounting
-aside — disable ``ExperimentConfig.charge_training_time`` for
-bitwise-identical runs).
+self-seeding: serial and parallel schedules — and the lazy in-task search
+of :meth:`SplitContext.rl` — produce identical results (wall-clock
+training-cost accounting aside — disable
+``ExperimentConfig.charge_training_time`` for bitwise-identical runs).
 
 Two content-keyed caches remove redundant work across experiments:
 :class:`PreparedDataCache` shares one :class:`PreparedData` product between
@@ -49,7 +48,6 @@ import dataclasses
 import itertools
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -151,16 +149,6 @@ class ExperimentConfig:
     #: Warm starting chains the RL tasks of consecutive splits, limiting how
     #: much of the RL work the parallel executor can overlap.
     rl_warm_start: bool = True
-    #: Decompose each split's RL hyperparameter search into one executor task
-    #: per trial plus a select-best reduce task (the default).  Only trial 0 —
-    #: the warm-started base candidate — rides the cross-split dependency
-    #: chain; trials 1..N are independent samples that fan out across workers
-    #: immediately, shrinking the serial critical path from splits × trials
-    #: training runs to splits.  Results are bit-identical either way (every
-    #: trial draws from pre-drawn keyed RNG streams); ``False`` restores the
-    #: old in-task trial loop but is **deprecated** (``build_split_tasks``
-    #: warns) and will be removed.
-    rl_trial_tasks: bool = True
     #: Random forest size of the SC20 baseline.
     rf_n_estimators: int = 25
     rf_max_depth: int = 10
@@ -254,6 +242,9 @@ class ExperimentConfig:
         from repro.serialization import untag
 
         payload = dict(untag(data, "experiment_config"))
+        # Retired scheduling knob, still present in stores written before
+        # its removal; every other unknown key stays an error.
+        payload.pop("rl_trial_tasks", None)
         payload["rl_hidden_sizes"] = tuple(payload["rl_hidden_sizes"])
         payload["sc20_threshold_offsets"] = tuple(payload["sc20_threshold_offsets"])
         payload["rl_base_config"] = DQNConfig.from_dict(payload["rl_base_config"])
@@ -1116,9 +1107,10 @@ def _rl_trial_settings(
     single keyed ``search-{split}`` stream — exactly the consumption order
     of the historical in-task trial loop — so the decomposed per-trial
     tasks reproduce the old loop bit for bit regardless of which worker
-    runs which trial, and both ``rl_trial_tasks`` shapes share one draw
-    sequence.  Trial 0 always uses the base configuration unchanged, so a
-    tiny search budget still contains a known-reasonable setting.
+    runs which trial, and the lazy in-task search of
+    :func:`_train_rl_for_split` shares the same draw sequence.  Trial 0
+    always uses the base configuration unchanged, so a tiny search budget
+    still contains a known-reasonable setting.
     """
     space = HyperparameterSpace()
     search_rng = RngFactory(scenario.seed).stream(f"search-{split_index}")
@@ -1305,10 +1297,12 @@ def _train_rl_for_split(
 ) -> Tuple[Optional[DDDQNAgent], float, Optional[dict]]:
     """Hyperparameter search + training of the RL agent for one split.
 
-    The in-task serial schedule of the same per-trial computation the
-    executor fans out when ``config.rl_trial_tasks`` is set — kept as the
-    one-release fallback shape.  Returns (best agent, summed per-trial
-    training+validation cost in node-hours, best state).
+    The in-task serial schedule of the per-trial computation the executor
+    fans out: :meth:`SplitContext.rl` runs it when the "rl" group executes
+    as a single task (the public :func:`train_split` stage, or custom "rl"
+    group approaches with the built-in RL approach disabled).  Returns
+    (best agent, summed per-trial training+validation cost in node-hours,
+    best state).
     """
     scoring_traces: Optional[List[EvaluationTrace]] = None
     if _rl_train_tracks(prepared.tracks, split):
@@ -1484,8 +1478,9 @@ def _has_rl_train_data(prepared: PreparedData, split: TimeSeriesSplit) -> bool:
 
 
 #: Priority of the tasks on the RL warm-start chain (trial-0, reduce, and
-#: the chained single-task shape): the chain is the task graph's critical
-#: path, so among simultaneously ready tasks it always gets a worker first.
+#: the chained single "rl" task of custom approaches): the chain is the task
+#: graph's critical path, so among simultaneously ready tasks it always gets
+#: a worker first.
 _CHAIN_PRIORITY = 10
 
 
@@ -1502,9 +1497,8 @@ def build_split_tasks(
     """The executor task graph of one experiment's splits.
 
     One task per (split × enabled approach group) — except the "rl" group,
-    which with ``config.rl_trial_tasks`` (the default, when the built-in RL
-    approach is enabled) decomposes into one task per hyperparameter trial
-    plus a select-best reduce task per split:
+    which (when the built-in RL approach is enabled) decomposes into one
+    task per hyperparameter trial plus a select-best reduce task per split:
 
     * ``rl-trial{t}-{k}`` — trial ``t`` of split ``k``.  Trials 1..N are
       independent hyperparameter samples with **no** dependencies; they fan
@@ -1549,17 +1543,7 @@ def build_split_tasks(
     # Fan out per-trial tasks only when the built-in RL approach runs: a
     # custom approach in the "rl" group may never ask for the shared agent,
     # and the lazy single-task shape must not pay for training it.
-    rl_runs = any(spec.name == "RL" for spec in groups.get("rl", []))
-    if not config.rl_trial_tasks and rl_runs:
-        warnings.warn(
-            "rl_trial_tasks=False (the in-task RL trial loop) is deprecated "
-            "and will be removed: the per-trial task fan-out is bit-identical "
-            "and strictly faster under parallel executors. Drop the override "
-            "(or the --no-rl-trial-tasks flag) to silence this warning.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    rl_fan_out = config.rl_trial_tasks and rl_runs
+    rl_fan_out = any(spec.name == "RL" for spec in groups.get("rl", []))
     tasks: List[Task] = []
     for split in splits:
         for group in groups:

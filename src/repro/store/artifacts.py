@@ -17,10 +17,9 @@ processes, sessions and machines:
 ``results/<key>.json``
     One :class:`~repro.evaluation.pipeline.ExperimentResult`, keyed by the
     full (scenario, experiment-config) pair *minus* the scheduling knobs
-    (``n_workers``, ``executor_kind``, ``rl_trial_tasks``) — the golden
-    harness proves the schedule never changes the numbers, so serial and
-    parallel runs (and both RL task shapes) of one experiment share a
-    result slot.
+    (``n_workers``, ``executor_kind``) — the golden harness proves the
+    schedule never changes the numbers, so serial and parallel runs of one
+    experiment share a result slot.
 ``sweeps/<key>.json``
     One sweep manifest mapping each point label of a
     :class:`~repro.evaluation.sweep.SweepSpec` to its result key, so
@@ -102,14 +101,12 @@ class StoreGcReport:
 
 #: Experiment-config fields that select a *schedule* or a diagnostic, not a
 #: result: two runs differing only here produce identical numbers
-#: (golden-tested; the per-trial RL task shape is result-identical to the
-#: in-task loop by construction, ``profile`` only adds instrumentation,
-#: and ``compiled`` swaps in kernels that perform the identical IEEE-754
-#: operations), so they must share one result slot.
+#: (golden-tested; ``profile`` only adds instrumentation, and ``compiled``
+#: swaps in kernels that perform the identical IEEE-754 operations), so
+#: they must share one result slot.
 _SCHEDULE_FIELDS = (
     "n_workers",
     "executor_kind",
-    "rl_trial_tasks",
     "profile",
     "compiled",
 )

@@ -45,7 +45,7 @@ import os
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import EvaluationConfig, ScenarioConfig
 from repro.evaluation.pipeline import ExperimentConfig
@@ -57,14 +57,17 @@ from repro.utils.timeutils import DAY
 from repro.workload.generator import WorkloadConfig
 
 __all__ = [
+    "PRESETS",
     "Suite",
     "SuiteEntry",
     "SuiteError",
+    "compile_axes",
     "load_suite",
     "parse_suite",
     "run_suite",
 ]
 
+#: Names of the :class:`~repro.config.ScenarioConfig` preset constructors.
 PRESETS = ("small", "benchmark", "paper")
 
 _TOP_KEYS = ("suite", "defaults", "scenarios")
@@ -183,31 +186,22 @@ def _config_overrides(
     return dict(mapping)
 
 
-def _number(block: str, axis: str, value: Any) -> float:
+def _number(what: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SuiteError(
-            f"scenario {block!r}: axis {axis!r} values must be numbers, "
-            f"got {value!r}"
-        )
+        raise SuiteError(f"{what} values must be numbers, got {value!r}")
     return float(value)
 
 
-def _axis_values(block: str, axis: str, values: Any) -> Tuple[Any, ...]:
+def _axis_values(what: str, axis: str, values: Any) -> Tuple[Any, ...]:
     if not isinstance(values, (list, tuple)) or not values:
-        raise SuiteError(
-            f"scenario {block!r}: axis {axis!r} must be a non-empty list, "
-            f"got {values!r}"
-        )
+        raise SuiteError(f"{what} must be a non-empty list, got {values!r}")
     out: List[Any] = []
     for value in values:
         if axis in ("mitigation_costs", "job_scales"):
-            out.append(_number(block, axis, value))
+            out.append(_number(what, value))
         elif axis == "seeds":
             if isinstance(value, bool) or not isinstance(value, int):
-                raise SuiteError(
-                    f"scenario {block!r}: axis 'seeds' values must be "
-                    f"integers, got {value!r}"
-                )
+                raise SuiteError(f"{what} values must be integers, got {value!r}")
             out.append(int(value))
         elif axis == "restartable":
             if isinstance(value, bool):
@@ -216,26 +210,40 @@ def _axis_values(block: str, axis: str, values: Any) -> Tuple[Any, ...]:
                 out.append(value == "on")
             else:
                 raise SuiteError(
-                    f"scenario {block!r}: axis 'restartable' values must be "
-                    f"booleans (YAML on/off), got {value!r}"
+                    f"{what} values must be on/off booleans, got {value!r}"
                 )
         elif axis == "manufacturers":
             if value is None or value == "all":
                 out.append(None)
             elif isinstance(value, str) and value.upper() in MANUFACTURER_NAMES:
                 out.append(MANUFACTURER_NAMES.index(value.upper()))
-            elif isinstance(value, int) and not isinstance(value, bool):
+            elif isinstance(value, int) and not isinstance(value, bool) and value >= 0:
                 out.append(int(value))
             else:
                 raise SuiteError(
-                    f"scenario {block!r}: axis 'manufacturers' values must "
-                    f"be 'all'/null, a letter "
-                    f"({'/'.join(MANUFACTURER_NAMES)}) or an index, "
+                    f"{what} values must be 'all'/null, a letter "
+                    f"({'/'.join(MANUFACTURER_NAMES)}) or a non-negative index, "
                     f"got {value!r}"
                 )
         else:  # pragma: no cover - guarded by _check_keys
-            raise SuiteError(f"scenario {block!r}: unknown axis {axis!r}")
+            raise SuiteError(f"{what}: unknown axis {axis!r}")
     return tuple(out)
+
+
+def compile_axes(
+    raw_axes: Mapping[str, Any], what: Callable[[str], str]
+) -> Dict[str, Tuple[Any, ...]]:
+    """Validate ``{axis: values}`` into :class:`SweepSpec` axis arguments.
+
+    The one compiler of sweep-axis values, shared by suite blocks and the
+    ``run``/``sweep`` CLI flags.  ``what(axis)`` names the axis in error
+    messages (a suite block's axis, or a command-line flag); every problem
+    is a one-line :class:`SuiteError`.
+    """
+    return {
+        axis: _axis_values(what(axis), axis, values)
+        for axis, values in raw_axes.items()
+    }
 
 
 def _compile_segments(block: str, raw: Any) -> Tuple[FleetSegment, ...]:
@@ -319,7 +327,7 @@ def _compile_block(
             )
         scenario = scenario.with_seed(seed)
     if "duration_days" in merged:
-        days = _number(name, "duration_days", merged["duration_days"])
+        days = _number(f"scenario {name!r}: duration_days", merged["duration_days"])
         try:
             scenario = scenario.with_duration(days * DAY)
         except ValueError as exc:
@@ -360,8 +368,7 @@ def _compile_block(
     if "axes" in merged:
         raw_axes = _require_mapping(merged["axes"], f"scenario {name!r}: axes")
         _check_keys(raw_axes, _AXIS_KEYS, f"scenario {name!r}: axes")
-        for axis, values in raw_axes.items():
-            axes[axis] = _axis_values(name, axis, values)
+        axes = compile_axes(raw_axes, lambda axis: f"scenario {name!r}: axis {axis!r}")
 
     experiment: Dict[str, Any] = {}
     if "experiment" in merged:

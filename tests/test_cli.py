@@ -10,6 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro import cli
+from repro.config import ScenarioConfig
+from repro.evaluation.sweep import SweepSpec
 
 #: Cheapest CLI schedule that still runs every approach.
 FAST_FLAGS = [
@@ -21,19 +23,94 @@ FAST_FLAGS = [
 ]
 
 
-class TestParsing:
-    def test_restartable_values(self):
-        assert cli._parse_restartable("both") == [True, False]
-        assert cli._parse_restartable("on,off") == [True, False]
-        assert cli._parse_restartable("off") == [False]
-        with pytest.raises(Exception, match="restartable"):
-            cli._parse_restartable("maybe")
+def _spec(argv):
+    """The SweepSpec a command line's axis flags compile to."""
+    return cli._spec_from_args(cli.build_parser().parse_args(argv))
 
-    def test_manufacturer_values(self):
-        assert cli._parse_manufacturers("all") == [None]
-        assert cli._parse_manufacturers("A,b,2") == [0, 1, 2]
-        with pytest.raises(Exception, match="manufacturer"):
-            cli._parse_manufacturers("Z")
+
+class TestParsing:
+    def test_restartable_values(self, capsys):
+        assert _spec(["sweep", "--restartable", "both"]).restartable == (True, False)
+        assert _spec(["sweep", "--restartable", "on,off"]).restartable == (True, False)
+        assert _spec(["run", "--restartable", "off"]).restartable == (False,)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--restartable", "maybe"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: --restartable") and "maybe" in err
+        assert "\n" not in err
+
+    def test_manufacturer_values(self, capsys):
+        assert _spec(["sweep", "--manufacturer", "all"]).manufacturers == (None,)
+        assert _spec(["sweep", "--manufacturer", "A,b,2"]).manufacturers == (0, 1, 2)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--manufacturer", "Z"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: --manufacturer") and "'Z'" in err
+        assert "\n" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--mitigation-cost", "2,two"], "--mitigation-cost"),
+            (["sweep", "--seeds", "1,1.5"], "--seeds"),
+            (["run", "--job-scale", "big"], "--job-scale"),
+            (["run", "--manufacturer", "-1"], "--manufacturer"),
+        ],
+    )
+    def test_bad_axis_value_is_one_line_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {flag} ")
+        assert "\n" not in err and "Traceback" not in err
+
+    def test_sweep_axes_compile_to_the_hand_built_spec(self):
+        spec = _spec(
+            [
+                "sweep",
+                "--mitigation-cost", "2,10",
+                "--restartable", "both",
+                "--manufacturer", "all,A",
+                "--job-scale", "0.5",
+                "--seeds", "1,2",
+            ]
+        )
+        expected = SweepSpec(
+            base=ScenarioConfig.small(),
+            mitigation_costs=(2.0, 10.0),
+            restartable=(True, False),
+            manufacturers=(None, 0),
+            job_scales=(0.5,),
+            seeds=(1, 2),
+        )
+        assert spec == expected
+        assert [p.label for p in spec.points()] == [
+            p.label for p in expected.points()
+        ]
+
+    def test_run_scenario_equals_the_hand_built_one(self):
+        spec = _spec(
+            [
+                "run",
+                "--seed", "11",
+                "--mitigation-cost", "5",
+                "--restartable", "off",
+                "--manufacturer", "B",
+                "--job-scale", "2",
+            ]
+        )
+        (point,) = spec.points()
+        assert point.scenario == (
+            ScenarioConfig.small()
+            .with_seed(11)
+            .with_mitigation_cost(5.0)
+            .with_restartable(False)
+            .with_manufacturer(1)
+            .with_job_scale(2.0)
+        )
 
     def test_run_rejects_multi_valued_flags(self, tmp_path):
         with pytest.raises(SystemExit, match="sweep"):
@@ -50,19 +127,23 @@ class TestParsing:
         with pytest.raises(SystemExit):
             cli.main(["report", "--store", "x", "--which", "totl"])
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_rl_trial_tasks_flag_reaches_the_config(self, command):
-        parser = cli.build_parser()
-        default = parser.parse_args([command] + FAST_FLAGS)
-        assert default.rl_trial_tasks is None
-        # Unset -> the ExperimentConfig default (per-trial tasks on).
-        assert cli._config_from_args(default).rl_trial_tasks is True
-
-        on = parser.parse_args([command, "--rl-trial-tasks"] + FAST_FLAGS)
-        assert cli._config_from_args(on).rl_trial_tasks is True
-
-        off = parser.parse_args([command, "--no-rl-trial-tasks"] + FAST_FLAGS)
-        assert cli._config_from_args(off).rl_trial_tasks is False
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--shard", "0/2", "--claim"], "--shard and --claim are mutually"),
+            (["--claim"], "--claim coordinates workers through a shared store"),
+            (["--worker-id", "w0"], "--worker-id only applies to --claim"),
+            (["--lease-ttl", "5"], "--lease-ttl only applies to --claim"),
+        ],
+    )
+    def test_sweep_and_suite_share_the_distributed_flag_checks(
+        self, argv, message, tmp_path
+    ):
+        suite_file = tmp_path / "s.yaml"
+        suite_file.write_text("scenarios: {a: {preset: small}}\n")
+        for command in (["sweep"], ["suite", str(suite_file)]):
+            with pytest.raises(SystemExit, match=message):
+                cli.main(command + argv + ["--fast", "--executor", "serial"])
 
 
 class TestServe:
@@ -197,7 +278,7 @@ class TestSweepLifecycle:
         assert "points computed: 2" in first
         assert "points loaded from store: 0" in first
         # The executor's measured critical path is part of the report, so
-        # the chain-vs-fan speedup is observable from the command line.
+        # the RL trial fan-out's effect is observable from the command line.
         assert "critical path" in first
 
         assert cli.main(["report", "--store", store_dir]) == 0

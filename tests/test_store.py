@@ -170,6 +170,56 @@ class TestExperimentResults:
         assert store.load_result(SCENARIO, TINY) is None
 
 
+class TestKeyStability:
+    """Content keys address existing stores on disk: pinned digests."""
+
+    def test_default_config_keys(self):
+        from repro.evaluation.sweep import SweepSpec
+        from repro.store.backends import DictBackend
+
+        store = ArtifactStore(backend=DictBackend())
+        config = ExperimentConfig()
+        assert store.result_key(ScenarioConfig.small(), config) == "2b5262527ec67869"
+        spec = SweepSpec(base=ScenarioConfig.small())
+        assert store.sweep_key(spec, config) == "8df937dc458b8329"
+
+    def test_cli_smoke_sweep_keys(self):
+        from repro import cli
+        from repro.store.backends import DictBackend
+
+        args = cli.build_parser().parse_args(
+            [
+                "sweep",
+                "--duration-days", "60",
+                "--mitigation-cost", "2,10",
+                "--fast",
+                "--episodes", "20",
+                "--workers", "2",
+            ]
+        )
+        spec = cli._spec_from_args(args)
+        config = cli._config_from_args(args)
+        store = ArtifactStore(backend=DictBackend())
+        assert store.sweep_key(spec, config) == "df77bd8aa56f4b7f"
+        assert [store.result_key(p.scenario, config) for p in spec.points()] == [
+            "eedc4ad62025ae71",
+            "7bf77540a8b09981",
+        ]
+
+
+class TestRetiredConfigKey:
+    """Stores written while ``ExperimentConfig`` had ``rl_trial_tasks``."""
+
+    def test_config_payload_with_the_retired_key_loads(self):
+        payload = TINY.to_dict()
+        payload["rl_trial_tasks"] = False
+        assert ExperimentConfig.from_dict(payload) == TINY
+        # Every other unknown key is still an error.
+        payload["no_such_field"] = 1
+        with pytest.raises(TypeError):
+            ExperimentConfig.from_dict(payload)
+
+
 class TestInventory:
     def test_listings_cover_all_families(self, store):
         from repro.evaluation.sweep import SweepSpec, run_sweep
@@ -257,6 +307,16 @@ class TestGarbageCollection:
         assert store.load_prepared(SCENARIO, TINY) is not None
         # A second pass is a no-op.
         assert store.gc(grace_seconds=0.0).removed == ()
+
+    def test_result_payloads_with_the_retired_key_load_and_gc(self, populated):
+        store, referenced_key, orphan_key = populated
+        (key,) = store.backend.list("results/")
+        payload = json.loads(store.backend.get(key))
+        payload["config"]["rl_trial_tasks"] = False
+        store.backend.put(key, json.dumps(payload).encode("utf-8"))
+        assert store.load_result(SCENARIO, TINY) is not None
+        assert store.gc(grace_seconds=0.0).removed == (orphan_key,)
+        assert store.list_prepared() == [referenced_key]
 
     def test_gc_prunes_incomplete_entries(self, store):
         incomplete = store.root / "prepared" / "deadbeefdeadbeef"
