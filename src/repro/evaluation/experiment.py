@@ -1,6 +1,6 @@
 """End-to-end experiment driver reproducing the paper's evaluation.
 
-The driver is a thin orchestrator over three explicit layers:
+The evaluation is composed of three explicit layers:
 
 :mod:`repro.evaluation.registry`
     A pluggable registry of the approaches under evaluation (Section 4.2).
@@ -16,40 +16,35 @@ The driver is a thin orchestrator over three explicit layers:
     and test-range replay), and ``aggregate`` (the
     :class:`ExperimentResult` behind Figures 3, 4, 5, 7 and Table 2).
 :mod:`repro.evaluation.executor`
-    A dependency-aware task runner.  :func:`run_experiment` schedules one
-    task per (split × approach group) and runs them on a process pool when
+    A dependency-aware task runner.  The driver schedules one task per
+    (split × approach group) and runs them on a process pool when
     ``ExperimentConfig.n_workers > 1``.  Every task seeds its own random
     streams from keyed :class:`~repro.utils.rng.RngFactory` streams, so
     parallel and serial schedules produce identical results (set
     ``charge_training_time=False`` to also zero out the wall-clock
     training-cost accounting, the only non-deterministic quantity).
 
-:func:`run_experiment` keeps the historical public signature; the
+There is one driver, :func:`repro.evaluation.sweep.run_sweep`: a single
+experiment is the one-point sweep of its scenario.  :func:`run_experiment`
+keeps the historical public signature as that one-point call; the
 re-exported :class:`ExperimentConfig`, :class:`ExperimentResult` and
 :class:`ApproachResult` live in :mod:`repro.evaluation.pipeline`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Tuple
 
 from repro.config import ScenarioConfig
-from repro.core import kernels
-from repro.evaluation.executor import ExecutorStats, execute_tasks
 from repro.evaluation.pipeline import (
     ApproachResult,
     ExperimentConfig,
     ExperimentResult,
     PreparedDataCache,
-    aggregate,
-    build_split_tasks,
-    make_splits,
-    prepare_data,
 )
 from repro.evaluation.registry import approach_order
+from repro.evaluation.sweep import SweepSpec, run_sweep
 from repro.telemetry.error_log import ErrorLog
-from repro.utils.profiling import StageProfiler
 from repro.workload.job import JobLog
 
 __all__ = [
@@ -83,43 +78,23 @@ def run_experiment(
 
     ``cache`` optionally serves the prepared data from a
     :class:`~repro.evaluation.pipeline.PreparedDataCache` (with whatever
-    sharing and disk-spill behaviour that cache is configured for) instead
-    of always rebuilding it; results are identical either way.
-    """
-    config = config or ExperimentConfig()
-    kernels.apply_config(config.compiled)
-    started = time.perf_counter()
-    profiler = StageProfiler(enabled=config.profile)
+    sharing and disk-spill behaviour that cache is configured for); without
+    one the call uses a private cache, so no prepared data outlives it.
+    Results are identical either way.
 
-    with profiler.stage("prepare_data"):
-        if cache is not None:
-            prepared = cache.get(
-                scenario, config, error_log=error_log, job_log=job_log
-            )
-        else:
-            prepared = prepare_data(
-                scenario, config, error_log=error_log, job_log=job_log
-            )
-        splits = make_splits(scenario)
-    with profiler.stage("execute_tasks"):
-        tasks = build_split_tasks(prepared, splits, config)
-        stats = ExecutorStats()
-        outcomes = execute_tasks(
-            tasks,
-            n_workers=config.n_workers,
-            kind=config.executor_kind,
-            shared=prepared,
-            stats=stats,
-        )
-    with profiler.stage("aggregate"):
-        result = aggregate(
-            prepared,
-            splits,
-            outcomes,
-            config,
-            wallclock_seconds=time.perf_counter() - started,
-        )
-    result.executor_stats = stats
-    if config.profile:
-        result.extras["profile"] = profiler.report()
+    This is ``run_sweep(SweepSpec(base=scenario), ...)`` returning the single
+    point's result, with the sweep's ``executor_stats`` and (when
+    ``config.profile`` is set) its ``extras["profile"]`` attached.
+    """
+    sweep = run_sweep(
+        SweepSpec(base=scenario),
+        config,
+        cache=cache if cache is not None else PreparedDataCache(),
+        error_log=error_log,
+        job_log=job_log,
+    )
+    (result,) = sweep.results.values()
+    result.executor_stats = sweep.extras["executor_stats"]
+    if "profile" in sweep.extras:
+        result.extras["profile"] = sweep.extras["profile"]
     return result

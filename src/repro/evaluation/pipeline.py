@@ -50,7 +50,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1387,7 +1387,8 @@ def _evaluate_group(
 
 def run_split_group(
     deps: Dict[str, "GroupOutcome"],
-    prepared: PreparedData,
+    shared: Dict[str, PreparedData],
+    label: str,
     split: TimeSeriesSplit,
     group: str,
     config: ExperimentConfig,
@@ -1395,22 +1396,23 @@ def run_split_group(
     """Train and evaluate one approach group on one split (executor task).
 
     ``deps`` carries at most the previous split's "rl" outcome, whose
-    ``rl_state`` seeds this split's warm start.  ``prepared`` arrives
-    through the executor's ``shared`` channel (shipped once per worker,
-    not once per task).
+    ``rl_state`` seeds this split's warm start.  ``shared`` is the
+    executor's label -> :class:`PreparedData` map (shipped once per worker,
+    not once per task); the task reads its experiment's entry ``label``.
     """
     ensure_sc20_variants(config)
     kernels.apply_config(config.compiled)
     rl_state_in: Optional[dict] = None
     for outcome in deps.values():
         rl_state_in = outcome.rl_state
-    ctx = SplitContext(prepared, split, config, rl_carry_in=rl_state_in)
+    ctx = SplitContext(shared[label], split, config, rl_carry_in=rl_state_in)
     return _evaluate_group(ctx, group, config)
 
 
 def run_rl_trial(
     deps: Dict[str, Any],
-    prepared: PreparedData,
+    shared: Dict[str, PreparedData],
+    label: str,
     split: TimeSeriesSplit,
     trial: int,
     config: ExperimentConfig,
@@ -1419,19 +1421,20 @@ def run_rl_trial(
 
     ``deps`` is empty for the independent search trials 1..N; trial 0 — the
     warm-started base candidate — receives the previous split's "rl" reduce
-    outcome, whose ``rl_state`` seeds this split's warm start.  ``prepared``
-    arrives through the executor's ``shared`` channel.
+    outcome, whose ``rl_state`` seeds this split's warm start.  The prepared
+    data is ``shared[label]``, as in :func:`run_split_group`.
     """
     kernels.apply_config(config.compiled)
     previous_state: Optional[dict] = None
     for outcome in deps.values():
         previous_state = outcome.rl_state
-    return _train_one_rl_trial(prepared, split, trial, config, previous_state)
+    return _train_one_rl_trial(shared[label], split, trial, config, previous_state)
 
 
 def run_rl_reduce(
     deps: Dict[str, Any],
-    prepared: PreparedData,
+    shared: Dict[str, PreparedData],
+    label: str,
     split: TimeSeriesSplit,
     config: ExperimentConfig,
 ) -> GroupOutcome:
@@ -1444,7 +1447,8 @@ def run_rl_reduce(
     and handed to every builder of the group.  Keyed under
     ``rl-{split}``, so the warm-start chain (the next split's trial 0
     depends on this task) and :func:`aggregate` see exactly the shape the
-    single-task graph produced.
+    single-task graph produced.  The prepared data is ``shared[label]``,
+    as in :func:`run_split_group`.
     """
     ensure_sc20_variants(config)
     kernels.apply_config(config.compiled)
@@ -1452,7 +1456,7 @@ def run_rl_reduce(
         value for value in deps.values() if isinstance(value, RLTrialResult)
     ]
     agent, training_cost, best_state = _select_best_rl_trial(config, trial_results)
-    ctx = SplitContext(prepared, split, config)
+    ctx = SplitContext(shared[label], split, config)
     if agent is not None:
         ctx._inject_rl(
             RLPolicy(
@@ -1488,11 +1492,7 @@ def build_split_tasks(
     prepared: PreparedData,
     splits: Sequence[TimeSeriesSplit],
     config: ExperimentConfig,
-    key_prefix: str = "",
-    task_fn: Optional[Callable[..., Any]] = None,
-    task_args: Tuple = (),
-    trial_task_fn: Optional[Callable[..., Any]] = None,
-    reduce_task_fn: Optional[Callable[..., Any]] = None,
+    label: str = "",
 ) -> List[Task]:
     """The executor task graph of one experiment's splits.
 
@@ -1517,24 +1517,17 @@ def build_split_tasks(
     fallback of splits without training data) makes split ``k`` depend on
     split ``k - 1``; every other task is independent.
 
-    The returned tasks carry only (split[, trial][, group], config); the
-    driver passes the heavyweight :class:`PreparedData` once through the
-    executor's ``shared`` channel instead of once per task.
-
-    ``key_prefix`` namespaces the task keys (and the RL chain's dependency
-    edges) so several experiments can coexist in one task graph — the sweep
-    engine prefixes each point's tasks with its label.  ``task_fn`` /
-    ``trial_task_fn`` / ``reduce_task_fn`` (+ ``task_args``) substitute
-    custom module-level task callables invoked as
-    ``task_fn(deps, shared, *task_args, split, group, config)``,
-    ``trial_task_fn(deps, shared, *task_args, split, trial, config)`` and
-    ``reduce_task_fn(deps, shared, *task_args, split, config)`` in place of
-    :func:`run_split_group` / :func:`run_rl_trial` / :func:`run_rl_reduce`.
+    ``label`` names the experiment inside a larger graph: a non-empty label
+    prefixes every task key (and the RL chain's dependency edges) with
+    ``"{label}/"``, so the points of a sweep coexist in one graph.  The
+    tasks (:func:`run_split_group`, :func:`run_rl_trial`,
+    :func:`run_rl_reduce`) carry only (label, split[, trial][, group],
+    config) and read the heavyweight :class:`PreparedData` from the
+    executor's ``shared`` channel as ``shared[label]``, shipped once per
+    worker instead of once per task.
     """
     ensure_sc20_variants(config)
-    fn = run_split_group if task_fn is None else task_fn
-    trial_fn = run_rl_trial if trial_task_fn is None else trial_task_fn
-    reduce_fn = run_rl_reduce if reduce_task_fn is None else reduce_task_fn
+    key_prefix = f"{label}/" if label else ""
     groups = approach_groups(config)
     chain_rl = "rl" in groups and (
         config.rl_warm_start
@@ -1558,8 +1551,8 @@ def build_split_tasks(
                     tasks.append(
                         Task(
                             key=key,
-                            fn=trial_fn,
-                            args=tuple(task_args) + (split, trial, config),
+                            fn=run_rl_trial,
+                            args=(label, split, trial, config),
                             deps=chain_dep if trial == 0 else (),
                             priority=_CHAIN_PRIORITY if trial == 0 else 0,
                         )
@@ -1567,8 +1560,8 @@ def build_split_tasks(
                 tasks.append(
                     Task(
                         key=f"{key_prefix}rl-{split.index}",
-                        fn=reduce_fn,
-                        args=tuple(task_args) + (split, config),
+                        fn=run_rl_reduce,
+                        args=(label, split, config),
                         deps=tuple(trial_keys),
                         priority=_CHAIN_PRIORITY,
                     )
@@ -1577,8 +1570,8 @@ def build_split_tasks(
             tasks.append(
                 Task(
                     key=f"{key_prefix}{group}-{split.index}",
-                    fn=fn,
-                    args=tuple(task_args) + (split, group, config),
+                    fn=run_split_group,
+                    args=(label, split, group, config),
                     deps=chain_dep,
                     priority=_CHAIN_PRIORITY if group == "rl" and chain_rl else 0,
                 )

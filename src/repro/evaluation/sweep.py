@@ -50,21 +50,18 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ScenarioConfig
+from repro.core import kernels
 from repro.evaluation.costs import CostBreakdown
 from repro.evaluation.executor import ExecutorStats, Task, execute_tasks
 from repro.evaluation.pipeline import (
     ExperimentConfig,
     ExperimentResult,
-    GroupOutcome,
     PreparedData,
     PreparedDataCache,
     aggregate,
     build_split_tasks,
     default_prepared_cache,
     make_splits,
-    run_rl_reduce,
-    run_rl_trial,
-    run_split_group,
 )
 from repro.evaluation.report import format_cost_table, format_sweep_table
 from repro.telemetry.error_log import ErrorLog
@@ -387,45 +384,6 @@ class SweepResult:
 # --------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------- #
-def _run_sweep_group(
-    deps: Dict[str, GroupOutcome],
-    shared: Dict[str, PreparedData],
-    label: str,
-    split,
-    group: str,
-    config: ExperimentConfig,
-) -> GroupOutcome:
-    """Executor task of one (point × split × group); module-level so the
-    process backend can pickle it.  ``shared`` is the per-point prepared-data
-    map shipped once per worker."""
-    return run_split_group(deps, shared[label], split, group, config)
-
-
-def _run_sweep_rl_trial(
-    deps: Dict[str, Any],
-    shared: Dict[str, PreparedData],
-    label: str,
-    split,
-    trial: int,
-    config: ExperimentConfig,
-):
-    """One (point × split × RL trial) task — the sweep-side trampoline of
-    :func:`~repro.evaluation.pipeline.run_rl_trial`."""
-    return run_rl_trial(deps, shared[label], split, trial, config)
-
-
-def _run_sweep_rl_reduce(
-    deps: Dict[str, Any],
-    shared: Dict[str, PreparedData],
-    label: str,
-    split,
-    config: ExperimentConfig,
-) -> GroupOutcome:
-    """One (point × split) RL select-best reduce task — the sweep-side
-    trampoline of :func:`~repro.evaluation.pipeline.run_rl_reduce`."""
-    return run_rl_reduce(deps, shared[label], split, config)
-
-
 def assign_shard(
     points: Sequence[SweepPoint], index: int, count: int
 ) -> Tuple[SweepPoint, ...]:
@@ -456,12 +414,14 @@ def run_sweep(
 ) -> SweepResult:
     """Run every point of ``spec`` as one dependency-aware task graph.
 
-    Equivalent to — and tested against — one ``run_experiment`` call per
-    point, but (a) all points' (split × approach-group) tasks are scheduled
-    together on the executor, so ``config.n_workers`` parallelism spans the
-    whole sweep rather than one experiment at a time, and (b) points sharing
-    data-preparation inputs reuse one prepared dataset through ``cache``
-    (the process-wide default when ``None``).
+    The one experiment driver: ``run_experiment`` is the one-point sweep of
+    its scenario.  A sweep is equivalent to — and tested against — one
+    ``run_experiment`` call per point, but (a) all points' (split ×
+    approach-group) tasks are scheduled together on the executor, so
+    ``config.n_workers`` parallelism spans the whole sweep rather than one
+    experiment at a time, and (b) points sharing data-preparation inputs
+    reuse one prepared dataset through ``cache`` (the process-wide default
+    when ``None``).
 
     ``error_log`` / ``job_log`` optionally substitute externally supplied
     logs for the synthetic generators, exactly as in ``run_experiment``.
@@ -491,12 +451,14 @@ def run_sweep(
     (see :func:`assign_shard`) for one worker of a distributed sweep:
     points outside the shard are loaded when the store already holds them
     and otherwise left pending (``extras["points_pending"]``; they are
-    absent from the returned result).  Sharding requires a store — the
-    other workers' results have nowhere else to meet — and the sweep
-    manifest is recorded only by the run that observes the last point
-    land, so a complete manifest always names a complete sweep.
+    absent from the returned result).  Sharding requires a store and no
+    external logs — the other workers' results have nowhere else to
+    meet — and the sweep manifest is recorded only by the run that
+    observes the last point land, so a complete manifest always names a
+    complete sweep.
     """
     config = config or ExperimentConfig()
+    kernels.apply_config(config.compiled)
     cache = cache if cache is not None else default_prepared_cache()
     points = spec.points()
     started = time.perf_counter()
@@ -507,10 +469,16 @@ def run_sweep(
     use_store = store is not None and not external_inputs
     assigned = {point.label for point in points}
     if shard is not None:
-        if not use_store:
+        if store is None:
             raise ValueError(
                 "run_sweep(shard=...) needs a store: shard workers meet "
                 "only through their shared ArtifactStore"
+            )
+        if external_inputs:
+            raise ValueError(
+                "run_sweep(shard=...) cannot use external error_log/job_log: "
+                "externally supplied logs bypass the store, where shard "
+                "workers meet"
             )
         assigned = {
             point.label for point in assign_shard(points, shard[0], shard[1])
@@ -538,11 +506,7 @@ def run_sweep(
                     prepared[point.label],
                     splits_by_label[point.label],
                     config,
-                    key_prefix=f"{point.label}/",
-                    task_fn=_run_sweep_group,
-                    task_args=(point.label,),
-                    trial_task_fn=_run_sweep_rl_trial,
-                    reduce_task_fn=_run_sweep_rl_reduce,
+                    label=point.label,
                 )
             )
 
@@ -558,29 +522,32 @@ def run_sweep(
     elapsed = time.perf_counter() - started
 
     results: Dict[str, ExperimentResult] = {}
-    for point in points:
-        if point.label in loaded:
-            results[point.label] = loaded[point.label]
-            continue
-        if point.label not in prepared:
-            continue  # another shard's point, not yet in the store
-        prefix = f"{point.label}/"
-        point_outcomes = {
-            key[len(prefix):]: outcome
-            for key, outcome in outcomes.items()
-            if key.startswith(prefix)
-        }
-        results[point.label] = aggregate(
-            prepared[point.label],
-            splits_by_label[point.label],
-            point_outcomes,
-            config,
-            wallclock_seconds=elapsed,
-        )
-        if use_store:
-            # Persist each point as soon as it is aggregated, so a failure
-            # while assembling later points loses as little as possible.
-            store.save_result(point.scenario, config, results[point.label])
+    with profiler.stage("aggregate"):
+        for point in points:
+            if point.label in loaded:
+                results[point.label] = loaded[point.label]
+                continue
+            if point.label not in prepared:
+                continue  # another shard's point, not yet in the store
+            # build_split_tasks prefixes keys only for a non-empty label.
+            prefix = f"{point.label}/" if point.label else ""
+            point_outcomes = {
+                key[len(prefix):]: outcome
+                for key, outcome in outcomes.items()
+                if key.startswith(prefix)
+            }
+            results[point.label] = aggregate(
+                prepared[point.label],
+                splits_by_label[point.label],
+                point_outcomes,
+                config,
+                wallclock_seconds=elapsed,
+            )
+            if use_store:
+                # Persist each point as soon as it is aggregated, so a
+                # failure while assembling later points loses as little as
+                # possible.
+                store.save_result(point.scenario, config, results[point.label])
 
     available = tuple(point for point in points if point.label in results)
     result = SweepResult(

@@ -154,7 +154,7 @@ class TestStages:
             config = TINY_CONFIG.with_overrides(include_rl=False)
             split = make_splits(tiny_scenario)[-1]
             outcome = pipeline_mod.run_split_group(
-                {}, tiny_prepared, split, "rl", config
+                {}, {"tiny": tiny_prepared}, "tiny", split, "rl", config
             )
         finally:
             unregister_approach("Cheap-RL-variant")

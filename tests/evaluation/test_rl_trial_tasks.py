@@ -5,7 +5,7 @@ Three properties carry the feature:
 * **Graph shape** — hyperparameter trials fan out with no cross-trial
   dependencies; only trial 0 rides the warm-start chain (through the
   select-best reduce task, which keeps the old ``rl-{split}`` key);
-  ``key_prefix`` keeps two sweep points' trial tasks disjoint.
+  the point ``label`` keeps two sweep points' trial tasks disjoint.
 * **Determinism** — the decomposed graph is *result-identical* to the
   lazy in-task trial loop that :func:`train_split` reaches through
   ``SplitContext.rl()``, serially and with workers: the per-trial settings
@@ -102,10 +102,10 @@ class TestGraphShape:
     ):
         splits = make_splits(tiny_scenario)
         point_a = build_split_tasks(
-            tiny_prepared, splits, TRIAL_CONFIG, key_prefix="cost=2/"
+            tiny_prepared, splits, TRIAL_CONFIG, label="cost=2"
         )
         point_b = build_split_tasks(
-            tiny_prepared, splits, TRIAL_CONFIG, key_prefix="cost=5/"
+            tiny_prepared, splits, TRIAL_CONFIG, label="cost=5"
         )
         keys_a = {task.key for task in point_a}
         keys_b = {task.key for task in point_b}

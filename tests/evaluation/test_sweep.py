@@ -248,6 +248,57 @@ class TestRunSweep:
             ), name
 
 
+    def test_shard_without_a_store_is_rejected(self, base_scenario):
+        spec = SweepSpec(base=base_scenario, mitigation_costs=(2.0, 10.0))
+        with pytest.raises(ValueError, match="needs a store"):
+            run_sweep(spec, TINY, shard=(0, 2))
+
+    def test_shard_with_external_logs_names_the_real_cause(
+        self, base_scenario, tmp_path
+    ):
+        """A store *was* passed: the message must blame the external logs."""
+        from repro.store import ArtifactStore
+        from repro.telemetry.error_log import ErrorLog
+
+        spec = SweepSpec(base=base_scenario, mitigation_costs=(2.0, 10.0))
+        store = ArtifactStore(tmp_path / "runs")
+        with pytest.raises(
+            ValueError, match="externally supplied logs bypass the store"
+        ):
+            run_sweep(
+                spec, TINY, store=store, shard=(0, 2), error_log=ErrorLog.empty()
+            )
+
+
+class TestRunExperimentDriver:
+    """``run_experiment`` is the one-point ``run_sweep`` of its scenario."""
+
+    def test_no_cache_leaves_the_default_cache_untouched(self, base_scenario):
+        # Without a caller cache the one-point sweep gets a private one:
+        # nothing prepared may stay alive in the process-wide default.
+        from repro.evaluation.pipeline import default_prepared_cache
+
+        default = default_prepared_cache()
+        size, calls = len(default), default.prepare_calls
+        result = run_experiment(
+            base_scenario.with_seed(91), TINY.with_overrides(include_rl=False)
+        )
+        assert result.approach_names
+        assert len(default) == size
+        assert default.prepare_calls == calls
+
+    def test_executor_stats_cover_the_one_point_graph(self, base_scenario):
+        config = TINY.with_overrides(include_rl=False)
+        result = run_experiment(base_scenario, config, cache=PreparedDataCache())
+        stats = result.executor_stats
+        assert stats is not None
+        # static, rf, oracle per split, keyed under the point label.
+        assert len(stats.task_seconds) == 3 * len(result.splits)
+        assert all(
+            key.startswith(f"{base_scenario.name}/") for key in stats.task_seconds
+        )
+
+
 # --------------------------------------------------------------------- #
 # PreparedDataCache (the property tests of the cross-scenario cache)
 # --------------------------------------------------------------------- #

@@ -337,10 +337,12 @@ class TestProfileFlag:
         assert "prepare_data" in out and "execute_tasks" in out
         assert "cumtime" in out
 
-    def test_profile_surfaces_in_result_extras(self):
+    @pytest.mark.parametrize("driver", ["run_experiment", "run_sweep"])
+    def test_profile_surfaces_in_result_extras(self, driver):
         from repro.config import ScenarioConfig
         from repro.evaluation.experiment import run_experiment
-        from repro.evaluation.pipeline import ExperimentConfig
+        from repro.evaluation.pipeline import ExperimentConfig, PreparedDataCache
+        from repro.evaluation.sweep import SweepSpec, run_sweep
         from repro.utils.timeutils import DAY
 
         scenario = ScenarioConfig.small(seed=11).with_duration(30 * DAY)
@@ -352,8 +354,14 @@ class TestProfileFlag:
             executor_kind="serial",
             profile=True,
         )
-        result = run_experiment(scenario, config)
-        report = result.extras["profile"]
+        if driver == "run_experiment":
+            extras = run_experiment(scenario, config).extras
+        else:
+            # A one-point sweep reports the same stages, aggregate included.
+            extras = run_sweep(
+                SweepSpec(base=scenario), config, cache=PreparedDataCache()
+            ).extras
+        report = extras["profile"]
         assert set(report) == {
             "prepare_data", "execute_tasks", "aggregate", "total",
         }

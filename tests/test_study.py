@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ScenarioConfig
-from repro.evaluation import experiment, pipeline
+from repro.evaluation import pipeline
 from repro.evaluation.pipeline import ExperimentConfig, clear_trace_cache
 from repro.evaluation.sweep import SweepResult, SweepSpec
 from repro.store import ArtifactStore
@@ -51,8 +51,6 @@ def stage_counters(monkeypatch):
 
     monkeypatch.setattr(pipeline, "prepare_data", counting_prepare)
     monkeypatch.setattr(pipeline, "train_split", counting_train)
-    # run_experiment binds prepare_data into its own namespace at import.
-    monkeypatch.setattr(experiment, "prepare_data", counting_prepare)
     return calls
 
 
