@@ -39,6 +39,7 @@ class _EpisodeState:
     total_reward: float
     mitigation_cost_paid: float
     ue_cost_paid: float
+    ue_occurred: bool
 
 
 class MitigationEnv:
@@ -134,12 +135,11 @@ class MitigationEnv:
             total_reward=0.0,
             mitigation_cost_paid=0.0,
             ue_cost_paid=0.0,
+            ue_occurred=False,
         )
-        # Skip any leading UE events (the agent is never invoked on them).
+        # Skip any leading UE events (the agent is never invoked on them);
+        # every kept track has a decision point, so a non-UE event follows.
         self._skip_ue_events()
-        if self._episode.index >= len(track):
-            # Degenerate track (UE only); restart on another node.
-            return self.reset(None if node is None else None)
         return self._current_state()
 
     def _skip_ue_events(self) -> None:
@@ -188,7 +188,7 @@ class MitigationEnv:
         if ep.index >= len(ep.track):
             done = True
         elif bool(ep.track.is_ue[ep.index]):
-            ue_occurred = True
+            ue_occurred = ep.ue_occurred = True
             done = True
             t_ue = float(ep.track.times[ep.index])
             ue_cost = ep.timeline.potential_ue_cost(
@@ -212,7 +212,6 @@ class MitigationEnv:
         }
         if done:
             info["episode"] = self.episode_summary()
-            self._episode = None if False else ep  # keep for summary access
         return next_state, reward, done, info
 
     # ------------------------------------------------------------------ #
@@ -225,7 +224,7 @@ class MitigationEnv:
             node=ep.node,
             n_steps=ep.n_decisions,
             n_mitigations=ep.n_mitigations,
-            ue_occurred=ep.ue_cost_paid > 0,
+            ue_occurred=ep.ue_occurred,
             total_reward=ep.total_reward,
             mitigation_cost=ep.mitigation_cost_paid,
             ue_cost=ep.ue_cost_paid,

@@ -6,6 +6,10 @@ uncorrected errors (Section 3.3.4): transitions with a large temporal-
 difference error — typically the rare terminal UE transitions — are replayed
 far more often than the abundant uneventful ones.
 
+Both memories keep transitions in one preallocated ring of arrays (a state
+row, a next-state row, action, reward and done per slot), so a batch is five
+fancy-index gathers.  The first push fixes the state dimension.
+
 The sum tree and the prioritized buffer expose two equivalent code paths:
 
 * the scalar per-element methods (``SumTree.update`` / ``SumTree.sample``,
@@ -30,12 +34,11 @@ steps are pre-drawn in one ``Generator.random`` call (raw doubles are
 stream-position-exact: ``uniform(low, high)`` is ``low + (high - low) *
 next_double`` per element, and each step's bounds are applied to its slice
 of the pool when the step actually happens, with whatever tree total is
-current then), transitions are gathered from parallel array-backed storage
-instead of restacked object by object, and the sum-tree descent dispatches
-to the optional compiled kernel (:mod:`repro.core.kernels`).  The pre-wrap
-fallback rewinds the generator to the pool's checkpoint, fast-forwards the
-doubles consumed by earlier steps, and replays the scalar loop verbatim —
-then discards the rest of the pool, whose stream positions it invalidated.
+current then), and the sum-tree descent dispatches to the optional compiled
+kernel (:mod:`repro.core.kernels`).  The pre-wrap fallback rewinds the
+generator to the pool's checkpoint, fast-forwards the doubles consumed by
+earlier steps, and replays the scalar loop verbatim — then discards the rest
+of the pool, whose stream positions it invalidated.
 
 The equivalence is pinned by ``tests/core/test_replay_vectorized.py``.
 """
@@ -43,7 +46,7 @@ The equivalence is pinned by ``tests/core/test_replay_vectorized.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -234,31 +237,60 @@ class ReplayBatch:
         return int(self.states.shape[0])
 
 
-def _stack_batch(
-    transitions: Sequence[Transition],
-    weights: np.ndarray,
-    indices: np.ndarray,
-) -> ReplayBatch:
-    state_dim = transitions[0].state.shape[0]
-    states = np.stack([t.state for t in transitions])
-    actions = np.array([t.action for t in transitions], dtype=np.int64)
-    rewards = np.array([t.reward for t in transitions], dtype=np.float64)
-    dones = np.array([t.done for t in transitions], dtype=np.float64)
-    next_states = np.stack(
-        [
-            t.next_state if t.next_state is not None else np.zeros(state_dim)
-            for t in transitions
-        ]
-    )
-    return ReplayBatch(
-        states=states,
-        actions=actions,
-        rewards=rewards,
-        next_states=next_states,
-        dones=dones,
-        weights=np.asarray(weights, dtype=np.float64),
-        indices=np.asarray(indices, dtype=np.int64),
-    )
+class _TransitionStore:
+    """Preallocated ring storage for transitions, one row per slot.
+
+    :meth:`write` copies a transition into float64 rows (a terminal
+    ``next_state=None`` becomes a zero row); the arrays are allocated on the
+    first write, whose state fixes the dimension.  No reference to a pushed
+    :class:`Transition` is kept.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._states: Optional[np.ndarray] = None
+        self._next_states: Optional[np.ndarray] = None
+        self._actions = np.zeros(capacity, dtype=np.int64)
+        self._rewards = np.zeros(capacity)
+        self._dones = np.zeros(capacity)
+
+    def write(self, slot: int, transition: Transition) -> None:
+        """Copy ``transition`` into row ``slot``; reject a mismatched state."""
+        state = np.asarray(transition.state, dtype=np.float64)
+        if state.ndim != 1:
+            raise ValueError(f"states must be 1-D, got shape {state.shape}")
+        if self._states is not None and state.shape[0] != self._states.shape[1]:
+            raise ValueError(
+                f"state shape {state.shape} differs from the stored "
+                f"({self._states.shape[1]},)"
+            )
+        next_state = transition.next_state
+        if next_state is not None and np.shape(next_state) != state.shape:
+            raise ValueError(
+                f"next_state shape {np.shape(next_state)} differs from the "
+                f"state shape {state.shape}"
+            )
+        if self._states is None:
+            self._states = np.zeros((self.capacity, state.shape[0]))
+            self._next_states = np.zeros((self.capacity, state.shape[0]))
+        self._states[slot] = state
+        self._next_states[slot] = 0.0 if next_state is None else next_state
+        self._actions[slot] = transition.action
+        self._rewards[slot] = transition.reward
+        self._dones[slot] = transition.done
+
+    def batch(self, indices: np.ndarray, weights: np.ndarray) -> ReplayBatch:
+        """Gather the rows at ``indices`` into a :class:`ReplayBatch`."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return ReplayBatch(
+            states=self._states[indices],
+            actions=self._actions[indices],
+            rewards=self._rewards[indices],
+            next_states=self._next_states[indices],
+            dones=self._dones[indices],
+            weights=np.asarray(weights, dtype=np.float64),
+            indices=indices,
+        )
 
 
 class UniformReplayBuffer:
@@ -267,7 +299,7 @@ class UniformReplayBuffer:
     def __init__(self, capacity: int, seed=0) -> None:
         check_positive("capacity", capacity)
         self.capacity = int(capacity)
-        self._storage: List[Optional[Transition]] = [None] * self.capacity
+        self._store = _TransitionStore(self.capacity)
         self._next = 0
         self._size = 0
         self._rng = as_generator(seed, "replay")
@@ -277,7 +309,7 @@ class UniformReplayBuffer:
 
     def push(self, transition: Transition) -> None:
         """Store one transition, evicting the oldest when full."""
-        self._storage[self._next] = transition
+        self._store.write(self._next, transition)
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -292,9 +324,7 @@ class UniformReplayBuffer:
         if self._size == 0:
             raise ValueError("cannot sample from an empty replay buffer")
         indices = self._rng.integers(0, self._size, size=batch_size)
-        transitions = [self._storage[i] for i in indices]
-        weights = np.ones(batch_size)
-        return _stack_batch(transitions, weights, indices)
+        return self._store.batch(indices, np.ones(batch_size))
 
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
         """No-op: uniform replay does not track priorities."""
@@ -337,7 +367,7 @@ class PrioritizedReplayBuffer:
         self.beta0 = float(beta0)
         self.epsilon = float(epsilon)
         self._tree = SumTree(self.capacity)
-        self._storage: List[Optional[Transition]] = [None] * self.capacity
+        self._store = _TransitionStore(self.capacity)
         self._next = 0
         self._size = 0
         self._max_priority = 1.0
@@ -348,85 +378,13 @@ class PrioritizedReplayBuffer:
         self._pool_values: Optional[np.ndarray] = None
         self._pool_cursor = 0
         self._pool_checkpoint = None
-        #: Parallel array-backed transition storage: batch assembly becomes
-        #: five fancy-index gathers instead of a Python restacking loop.
-        #: Disabled (``_arrays_ok = False``) on the first transition whose
-        #: arrays are not plain 1-D float64 vectors of a fixed dimension —
-        #: ``_stack_batch`` then remains the (bit-identical) assembly path.
-        self._arr_states: Optional[np.ndarray] = None
-        self._arr_next_states: Optional[np.ndarray] = None
-        self._arr_actions: Optional[np.ndarray] = None
-        self._arr_rewards: Optional[np.ndarray] = None
-        self._arr_dones: Optional[np.ndarray] = None
-        self._arrays_ok = True
 
     def __len__(self) -> int:
         return self._size
 
-    def _store_row(self, slot: int, transition: Transition) -> None:
-        """Mirror one transition into the parallel arrays (exact copies)."""
-        if not self._arrays_ok:
-            return
-        state = transition.state
-        if not isinstance(state, np.ndarray) or state.dtype != np.float64:
-            self._arrays_ok = False
-            return
-        if self._arr_states is None:
-            if state.ndim != 1:
-                self._arrays_ok = False
-                return
-            dim = state.shape[0]
-            self._arr_states = np.zeros((self.capacity, dim))
-            self._arr_next_states = np.zeros((self.capacity, dim))
-            self._arr_actions = np.zeros(self.capacity, dtype=np.int64)
-            self._arr_rewards = np.zeros(self.capacity)
-            self._arr_dones = np.zeros(self.capacity)
-        if state.shape != (self._arr_states.shape[1],):
-            self._arrays_ok = False
-            return
-        next_state = transition.next_state
-        if next_state is None:
-            self._arr_next_states[slot] = 0.0
-        elif (
-            isinstance(next_state, np.ndarray)
-            and next_state.dtype == np.float64
-            and next_state.shape == state.shape
-        ):
-            self._arr_next_states[slot] = next_state
-        else:
-            self._arrays_ok = False
-            return
-        self._arr_states[slot] = state
-        self._arr_actions[slot] = int(transition.action)
-        self._arr_rewards[slot] = float(transition.reward)
-        self._arr_dones[slot] = float(transition.done)
-
-    def _gather_batch(
-        self, indices: np.ndarray, weights: np.ndarray
-    ) -> ReplayBatch:
-        """Assemble a batch; array gathers when possible, else restacking.
-
-        Both paths produce bitwise-identical batches: the parallel arrays
-        hold exact copies of what ``_stack_batch`` would restack.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if self._arrays_ok and self._arr_states is not None:
-            return ReplayBatch(
-                states=self._arr_states[indices],
-                actions=self._arr_actions[indices],
-                rewards=self._arr_rewards[indices],
-                next_states=self._arr_next_states[indices],
-                dones=self._arr_dones[indices],
-                weights=np.asarray(weights, dtype=np.float64),
-                indices=indices,
-            )
-        transitions = [self._storage[i] for i in indices]
-        return _stack_batch(transitions, weights, indices)
-
     def push(self, transition: Transition) -> None:
         """Store a transition with the maximum priority seen so far."""
-        self._storage[self._next] = transition
-        self._store_row(self._next, transition)
+        self._store.write(self._next, transition)
         self._tree.update(self._next, self._max_priority**self.alpha)
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
@@ -446,9 +404,7 @@ class PrioritizedReplayBuffer:
         priority = self._max_priority**self.alpha
         slots = (self._next + np.arange(count, dtype=np.int64)) % self.capacity
         for slot, transition in zip(slots, transitions):
-            slot = int(slot)
-            self._storage[slot] = transition
-            self._store_row(slot, transition)
+            self._store.write(int(slot), transition)
         self._tree.update_many(slots, np.full(count, priority, dtype=np.float64))
         self._next = int((self._next + count) % self.capacity)
         self._size = min(self._size + count, self.capacity)
@@ -558,7 +514,7 @@ class PrioritizedReplayBuffer:
             self._pool_values = None
             indices, priorities = self._sample_indices_scalar(batch_size, segment)
         weights = self._normalized_weights(priorities, total, self._size, self.beta)
-        return self._gather_batch(indices, weights)
+        return self._store.batch(indices, weights)
 
     def _sample_indices_scalar(
         self, batch_size: int, segment: float
@@ -571,7 +527,7 @@ class PrioritizedReplayBuffer:
             idx, priority = self._tree.sample(value)
             # Guard against sampling a not-yet-filled slot (only possible
             # before the buffer wraps for the first time).
-            if self._storage[idx] is None:
+            if idx >= self._size:
                 idx = int(self._rng.integers(0, self._size))
                 priority = max(self._tree.get(idx), self.epsilon**self.alpha)
             indices[i] = idx
@@ -594,8 +550,7 @@ class PrioritizedReplayBuffer:
         segment = total / batch_size
         indices, priorities = self._sample_indices_scalar(batch_size, segment)
         weights = self._normalized_weights(priorities, total, self._size, self.beta)
-        transitions = [self._storage[i] for i in indices]
-        return _stack_batch(transitions, weights, indices)
+        return self._store.batch(indices, weights)
 
     # ------------------------------------------------------------------ #
     # Priority maintenance

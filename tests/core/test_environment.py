@@ -124,6 +124,24 @@ class TestStep:
         # Despite mitigating, the full cost since job start is lost.
         assert info["ue_cost"] >= 4 * 3.0 - 1e-6
 
+    def test_zero_cost_ue_is_reported_in_summary(self, constant_job_sampler):
+        # Mitigating (restartable) at the UE's own timestamp makes its potential
+        # cost zero; the summary must still count the UE that ended the episode.
+        env = MitigationEnv(
+            {0: _track(0, [HOUR, HOUR], [False, True])},
+            constant_job_sampler,
+            mitigation_cost=2 / 60.0,
+            restartable=True,
+            t_start=0.0,
+            t_end=2 * HOUR,
+            seed=0,
+        )
+        env.reset(node=0)
+        _, _, done, info = env.step(Action.MITIGATE)
+        assert done and info["ue_occurred"] and info["ue_cost"] == 0.0
+        assert info["episode"].ue_occurred
+        assert env.episode_summary().ue_occurred
+
     def test_invalid_action_rejected(self, simple_env):
         simple_env.reset(node=0)
         with pytest.raises(ValueError):

@@ -170,3 +170,79 @@ class TestPrioritizedReplayBuffer:
         buffer.push(_transition(1))
         # The new transition should have priority comparable to the maximum.
         assert buffer._tree.get(1) >= buffer._tree.get(0) - 1e-9
+
+
+@pytest.mark.parametrize(
+    "make_buffer",
+    [
+        lambda capacity: UniformReplayBuffer(capacity, seed=5),
+        lambda capacity: PrioritizedReplayBuffer(capacity, seed=5),
+    ],
+    ids=["uniform", "prioritized"],
+)
+class TestArrayStore:
+    """Both memories copy transitions into one preallocated array ring."""
+
+    @staticmethod
+    def _check_rows(batch, expected):
+        for row, slot in enumerate(batch.indices):
+            transition = expected[int(slot)]
+            assert np.array_equal(batch.states[row], transition.state)
+            assert batch.actions[row] == transition.action
+            assert batch.rewards[row] == transition.reward
+            assert batch.dones[row] == float(transition.done)
+            if transition.next_state is None:
+                assert np.array_equal(batch.next_states[row], np.zeros(4))
+            else:
+                assert np.array_equal(batch.next_states[row], transition.next_state)
+
+    def test_sampled_rows_equal_pushed_transitions(self, make_buffer):
+        buffer = make_buffer(16)
+        pushed = [_transition(i, done=(i % 3 == 0), action=i % 2) for i in range(10)]
+        for transition in pushed:
+            buffer.push(transition)
+        batch = buffer.sample(64)
+        assert batch.states.dtype == np.float64 and batch.actions.dtype == np.int64
+        assert set(batch.indices.tolist()) == set(range(10))
+        self._check_rows(batch, pushed)
+
+    def test_wrap_overwrites_oldest_rows(self, make_buffer):
+        buffer = make_buffer(4)
+        pushed = [_transition(i, done=(i == 9)) for i in range(10)]
+        buffer.push_many(pushed)
+        batch = buffer.sample(64)
+        # Slot s holds the last transition pushed into it: 8, 9, 6, 7.
+        survivors = {i % 4: transition for i, transition in enumerate(pushed)}
+        assert set(batch.states[:, 0].tolist()) == {6.0, 7.0, 8.0, 9.0}
+        self._check_rows(batch, survivors)
+
+    def test_rows_are_copies(self, make_buffer):
+        buffer = make_buffer(4)
+        transition = _transition(2.0)
+        buffer.push(transition)
+        transition.state[:] = -1.0
+        assert np.array_equal(buffer.sample(1).states[0], np.full(4, 2.0))
+
+    def test_mismatched_state_shape_rejected(self, make_buffer):
+        buffer = make_buffer(8)
+        buffer.push(_transition(1.0))
+        wider = Transition(
+            state=np.zeros(5), action=0, reward=0.0, next_state=np.zeros(5), done=False
+        )
+        with pytest.raises(ValueError, match="state shape"):
+            buffer.push(wider)
+        ragged = Transition(
+            state=np.zeros(4), action=0, reward=0.0, next_state=np.zeros(3), done=False
+        )
+        with pytest.raises(ValueError, match="next_state shape"):
+            buffer.push(ragged)
+        assert len(buffer) == 1
+
+    def test_two_dimensional_state_rejected(self, make_buffer):
+        buffer = make_buffer(8)
+        flat = Transition(
+            state=np.zeros((2, 2)), action=1, reward=0.0, next_state=None, done=True
+        )
+        with pytest.raises(ValueError, match="1-D"):
+            buffer.push(flat)
+        assert len(buffer) == 0

@@ -131,16 +131,18 @@ class TestPrioritizedReplayVectorized:
         batched.push_many(transitions)  # wraps the ring three times
         assert np.array_equal(scalar._tree._tree, batched._tree._tree)
         assert scalar._next == batched._next and len(scalar) == len(batched)
-        assert all(
-            scalar._storage[i] is batched._storage[i] for i in range(8)
-        )
+        everything = np.arange(8)
+        stored = scalar._store.batch(everything, np.ones(8))
+        bulk = batched._store.batch(everything, np.ones(8))
+        for field in ("states", "actions", "rewards", "next_states", "dones"):
+            assert np.array_equal(getattr(stored, field), getattr(bulk, field))
 
     def test_prewrap_unfilled_slot_fallback_matches_scalar(self, rng):
         """A draw landing on a not-yet-filled slot rewinds and replays.
 
         The fallback is only reachable before the buffer wraps (and needs a
         zero-priority region adjacent to live leaves), so the tree is rigged
-        directly: leaf 2 gets priority while ``storage[2]`` is still None.
+        directly: leaf 2 gets priority while slot 2 is still unfilled.
         The batched path must detect it, rewind the generator, and produce
         exactly the scalar loop's indices/weights — including the extra
         mid-stream ``integers`` draw the fallback consumes.
