@@ -28,9 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.telemetry.error_log import ErrorLog
-from repro.telemetry.merging import MergedEvent, merge_node_events
+from repro.telemetry.merging import merge_step_ends, searchsorted_by_node
 from repro.telemetry.records import EventKind, EventRecord
 from repro.utils.timeutils import HOUR, MINUTE
+from repro.utils.validation import check_positive
 
 #: Names of the telemetry-derived state features, in vector order.
 FEATURE_NAMES: Tuple[str, ...] = (
@@ -138,20 +139,111 @@ class NodeFeatureTrack:
         )
 
 
+def _table1_steps(
+    log: ErrorLog, indices: np.ndarray, merge_window_seconds: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Times, features, UE flags and nodes of every merged step of ``indices``.
+
+    One segmented pass over node-major ``indices`` (see
+    :func:`~repro.telemetry.merging.merge_step_ends`) serves every node at
+    once, bit-identical to the per-event reference loop
+    (:func:`_extract_node_features_loop`, pinned by the equivalence tests).
+    Every count is an exact float64 prefix sum of integers minus its node's
+    offset; distinct CE locations are first occurrences in a node-led
+    ``lexsort``; the last boot is a masked forward fill; and the Equation 2
+    look-backs are one node-wise search per Δt.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    ends = merge_step_ends(log, indices, merge_window_seconds)
+    last = ends - 1
+    n = indices.size
+    position = np.arange(n)
+    ev_time = log.time[indices]
+    node = log.node[indices]
+    kind = log.kind[indices]
+    is_ce = kind == int(EventKind.CE)
+    is_boot = kind == int(EventKind.BOOT)
+    times = ev_time[last]
+    step_node = node[last]
+    # A UE ends its step, so a step holds one iff its last event is one.
+    is_ue = log.is_ue_mask[indices][last]
+    new_node = np.ones(n, dtype=bool)
+    new_node[1:] = node[1:] != node[:-1]
+    node_start = np.maximum.accumulate(np.where(new_node, position, 0))[last]
+    features = np.zeros((len(ends), N_FEATURES))
+    column = {name: features[:, i] for i, name in enumerate(FEATURE_NAMES)}
+
+    def total(values: np.ndarray, since: np.ndarray) -> np.ndarray:
+        """Sum of per-event ``values`` from position ``since`` to each step end."""
+        prefix = np.concatenate(([0.0], np.cumsum(values, dtype=np.float64)))
+        return prefix[ends] - prefix[since]
+
+    def first_seen(member: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+        """Marks each ``member`` event whose key tuple is new to its node."""
+        at = np.flatnonzero(member)
+        columns = np.stack([column[at] for column in (node, *keys)])
+        order = np.lexsort(columns[::-1])  # stable: ties keep event order
+        ordered = columns[:, order]
+        new_key = np.ones(at.size, dtype=bool)
+        new_key[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        marks = np.zeros(n, dtype=bool)
+        marks[at[order[new_key]]] = True
+        return marks
+
+    def look_back(delta: float) -> np.ndarray:
+        """Each step's last same-node step at or before ``now - Δt``, or -1."""
+        reference = searchsorted_by_node(step_node, times, times - delta, "right") - 1
+        same_node = (reference >= 0) & (step_node[reference] == step_node)
+        return np.where(same_node, reference, -1)
+
+    def variation(name: str, values: np.ndarray, reference: np.ndarray) -> None:
+        """Equation 2 into column ``name``: value(now) / value(now - Δt)."""
+        past = np.where(reference >= 0, values[reference], 0.0)
+        np.divide(values, past, out=column[name], where=past != 0.0)
+
+    dimm = log.dimm[indices]
+    rank = log.rank[indices]
+    bank = log.bank[indices]
+    row = log.row[indices]
+    col = log.col[indices]
+    ce_counts = np.where(is_ce, log.ce_count[indices], 0)
+    counted = {
+        "ces_total": ce_counts,
+        "ranks_with_ce": first_seen(is_ce & (rank >= 0), dimm, rank),
+        "banks_with_ce": first_seen(is_ce & (bank >= 0), dimm, rank, bank),
+        "rows_with_ce": first_seen(is_ce & (row >= 0), dimm, rank, bank, row),
+        "cols_with_ce": first_seen(is_ce & (col >= 0), dimm, rank, bank, col),
+        "dimms_with_ce": first_seen(is_ce, dimm),
+        "ue_warnings_total": kind == int(EventKind.UE_WARNING),
+        "boots_total": is_boot,
+    }
+    for name, values in counted.items():
+        column[name][:] = total(values, node_start)
+    step_start = np.concatenate(([0], ends))[:-1]
+    column["ces_since_last_event"][:] = total(ce_counts, step_start)
+
+    # Time since the last boot up to each step's end; nodes without a boot
+    # yet measure from their first event.
+    boot_at = np.maximum.accumulate(np.where(is_boot, position, -1))[last]
+    since_boot = times - ev_time[np.maximum(boot_at, node_start)]
+    column["time_since_boot"][:] = np.maximum(since_boot, 0.0)
+    for delta, suffix in ((MINUTE, "1min"), (HOUR, "1hour")):
+        reference = look_back(delta)
+        variation(f"ces_total_var_{suffix}", column["ces_total"], reference)
+        variation(f"boots_var_{suffix}", column["boots_total"], reference)
+    return times, features, is_ue, step_node
+
+
 def extract_node_features(
     log: ErrorLog,
     node: int,
     indices: Optional[np.ndarray] = None,
     merge_window_seconds: float = MINUTE,
 ) -> NodeFeatureTrack:
-    """Compute the Table 1 feature track for one node (vectorized).
+    """Compute the Table 1 feature track for one node.
 
-    Bit-identical to the per-event reference loop
-    (:func:`_extract_node_features_loop`, pinned by the equivalence tests):
-    cumulative counts fold with ``np.add.accumulate`` / ``np.add.at`` (exact
-    ordered folds), distinct CE-location counting becomes a stable-sort
-    first-occurrence scan, and the Equation 2 look-backs become one
-    ``searchsorted`` per Δt.
+    Runs the whole-log pass of :func:`build_feature_tracks` on this node's
+    events alone.
 
     Parameters
     ----------
@@ -167,101 +259,7 @@ def extract_node_features(
     """
     if indices is None:
         indices = np.flatnonzero(log.node == node)
-    merged = merge_node_events(log, indices, merge_window_seconds)
-    n_steps = len(merged)
-
-    times = np.array([step.time for step in merged], dtype=np.float64)
-    is_ue = np.array([step.is_ue for step in merged], dtype=bool)
-    features = np.zeros((n_steps, N_FEATURES))
-    if n_steps == 0:
-        return NodeFeatureTrack(
-            node=int(node), times=times, features=features, is_ue=is_ue
-        )
-
-    # The merged steps partition ``indices`` in order; per-event arrays are
-    # gathered once and reduced onto steps through the partition boundaries.
-    event_indices = np.asarray(indices)
-    step_sizes = np.array([step.n_raw_events for step in merged], dtype=np.int64)
-    ends = np.add.accumulate(step_sizes)
-    last_event = ends - 1
-    step_of_event = np.repeat(np.arange(n_steps), step_sizes)
-
-    ev_time = log.time[event_indices]
-    kind = log.kind[event_indices]
-    is_ce = kind == int(EventKind.CE)
-    is_warning = kind == int(EventKind.UE_WARNING)
-    is_boot = kind == int(EventKind.BOOT)
-    ce_counts = np.where(is_ce, log.ce_count[event_indices].astype(np.float64), 0.0)
-
-    # Cumulative totals are exact left folds of the per-event additions.
-    cum_ces = np.add.accumulate(ce_counts)
-    ces_total = cum_ces[last_event]
-    ces_in_step = np.zeros(n_steps)
-    np.add.at(ces_in_step, step_of_event, ce_counts)
-    warnings_total = np.add.accumulate(np.where(is_warning, 1.0, 0.0))[last_event]
-    boots_total = np.add.accumulate(np.where(is_boot, 1.0, 0.0))[last_event]
-
-    # Time since the last node boot observed up to (and including) each
-    # step; nodes without a boot yet measure from the track start.
-    last_boot = np.maximum.accumulate(np.where(is_boot, ev_time, -np.inf))[last_event]
-    track_start = float(log.time[event_indices[0]])
-    time_since_boot = np.where(
-        np.isneginf(last_boot), times - track_start, times - last_boot
-    )
-
-    dimm = log.dimm[event_indices].astype(np.int64)
-    rank = log.rank[event_indices].astype(np.int64)
-    bank = log.bank[event_indices].astype(np.int64)
-    row = log.row[event_indices].astype(np.int64)
-    col = log.col[event_indices].astype(np.int64)
-
-    def distinct_counts(member: np.ndarray, *key_columns: np.ndarray) -> np.ndarray:
-        """Per-step count of distinct key tuples among qualifying events."""
-        if not member.any():
-            return np.zeros(n_steps)
-        positions = np.flatnonzero(member)
-        keys = np.stack([column[member] for column in key_columns], axis=1)
-        order = np.lexsort(keys.T[::-1])  # stable: ties keep event order
-        sorted_keys = keys[order]
-        new_group = np.ones(len(sorted_keys), dtype=bool)
-        if len(sorted_keys) > 1:
-            new_group[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-        first_seen = np.sort(positions[order[new_group]])
-        return np.searchsorted(first_seen, last_event, side="right").astype(
-            np.float64
-        )
-
-    dimms_count = distinct_counts(is_ce, dimm)
-    ranks_count = distinct_counts(is_ce & (rank >= 0), dimm, rank)
-    banks_count = distinct_counts(is_ce & (bank >= 0), dimm, rank, bank)
-    rows_count = distinct_counts(is_ce & (row >= 0), dimm, rank, bank, row)
-    cols_count = distinct_counts(is_ce & (col >= 0), dimm, rank, bank, col)
-
-    def variation(values_at_step: np.ndarray, delta: float) -> np.ndarray:
-        """Equation 2 over all steps: value(now) / value(now - Δt)."""
-        reference = np.searchsorted(times, times - delta, side="right") - 1
-        past = np.where(
-            reference >= 0, values_at_step[np.maximum(reference, 0)], 0.0
-        )
-        out = np.zeros(n_steps)
-        np.divide(values_at_step, past, out=out, where=past != 0.0)
-        return out
-
-    features[:, FEATURE_INDEX["ces_since_last_event"]] = ces_in_step
-    features[:, FEATURE_INDEX["ces_total"]] = ces_total
-    features[:, FEATURE_INDEX["ranks_with_ce"]] = ranks_count
-    features[:, FEATURE_INDEX["banks_with_ce"]] = banks_count
-    features[:, FEATURE_INDEX["rows_with_ce"]] = rows_count
-    features[:, FEATURE_INDEX["cols_with_ce"]] = cols_count
-    features[:, FEATURE_INDEX["dimms_with_ce"]] = dimms_count
-    features[:, FEATURE_INDEX["ue_warnings_total"]] = warnings_total
-    features[:, FEATURE_INDEX["time_since_boot"]] = np.maximum(time_since_boot, 0.0)
-    features[:, FEATURE_INDEX["boots_total"]] = boots_total
-    features[:, FEATURE_INDEX["ces_total_var_1min"]] = variation(ces_total, MINUTE)
-    features[:, FEATURE_INDEX["ces_total_var_1hour"]] = variation(ces_total, HOUR)
-    features[:, FEATURE_INDEX["boots_var_1min"]] = variation(boots_total, MINUTE)
-    features[:, FEATURE_INDEX["boots_var_1hour"]] = variation(boots_total, HOUR)
-
+    times, features, is_ue, _ = _table1_steps(log, indices, merge_window_seconds)
     return NodeFeatureTrack(node=int(node), times=times, features=features, is_ue=is_ue)
 
 
@@ -279,11 +277,12 @@ def _extract_node_features_loop(
     """
     if indices is None:
         indices = np.flatnonzero(log.node == node)
-    merged = merge_node_events(log, indices, merge_window_seconds)
+    ends = merge_step_ends(log, indices, merge_window_seconds)
+    ue_mask = log.is_ue_mask[indices]
 
-    times = np.empty(len(merged))
-    features = np.zeros((len(merged), N_FEATURES))
-    is_ue = np.zeros(len(merged), dtype=bool)
+    times = np.empty(len(ends))
+    features = np.zeros((len(ends), N_FEATURES))
+    is_ue = np.zeros(len(ends), dtype=bool)
 
     ces_total = 0.0
     warnings_total = 0.0
@@ -300,11 +299,11 @@ def _extract_node_features_loop(
     hist_ces: List[float] = []
     hist_boots: List[float] = []
 
-    track_start = float(log.time[indices[0]]) if len(merged) else 0.0
+    track_start = float(log.time[indices[0]]) if len(ends) else 0.0
 
-    for i, step in enumerate(merged):
+    for i, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
         ces_in_step = 0.0
-        for idx in step.indices:
+        for idx in indices[start:end]:
             kind = EventKind(int(log.kind[idx]))
             if kind == EventKind.CE:
                 count = float(log.ce_count[idx])
@@ -326,9 +325,9 @@ def _extract_node_features_loop(
                 boots_total += 1.0
                 last_boot_time = float(log.time[idx])
 
-        t = step.time
+        t = float(log.time[indices[end - 1]])
         times[i] = t
-        is_ue[i] = step.is_ue
+        is_ue[i] = ue_mask[start:end].any()
 
         if last_boot_time is None:
             time_since_boot = t - track_start
@@ -428,7 +427,8 @@ class OnlineFeatureState:
     event produces rows bit-identical to the batch extractor run over any
     prefix of the same stream (pinned by the prefix-equivalence tests).
 
-    Merge-group life cycle (mirrors :func:`merge_node_events`):
+    Merge-group life cycle (mirrors
+    :func:`~repro.telemetry.merging.merge_step_ends`):
 
     * an event more than ``merge_window_seconds`` after the open group's
       first event closes that group and starts a new one;
@@ -445,8 +445,7 @@ class OnlineFeatureState:
     """
 
     def __init__(self, node: int, merge_window_seconds: float = MINUTE) -> None:
-        if merge_window_seconds <= 0:
-            raise ValueError("merge_window_seconds must be > 0")
+        check_positive("merge_window_seconds", merge_window_seconds)
         self.node = int(node)
         self.merge_window_seconds = float(merge_window_seconds)
 
@@ -655,10 +654,22 @@ class OnlineFeatureState:
 def build_feature_tracks(
     log: ErrorLog, merge_window_seconds: float = MINUTE
 ) -> Dict[int, NodeFeatureTrack]:
-    """Compute feature tracks for every node present in ``log``."""
+    """Compute feature tracks for every node present in ``log``.
+
+    One pass over the whole log in node-major time order; each node's track
+    is a slice of its result.
+    """
+    node_major = np.lexsort((log.time, log.node))
+    times, features, is_ue, step_node = _table1_steps(
+        log, node_major, merge_window_seconds
+    )
+    nodes, starts = np.unique(step_node, return_index=True)
+    stops = np.append(starts[1:], len(times))
     return {
-        node: extract_node_features(log, node, indices, merge_window_seconds)
-        for node, indices in log.node_slices().items()
+        int(node): NodeFeatureTrack(
+            node=int(node), times=times[a:b], features=features[a:b], is_ue=is_ue[a:b]
+        )
+        for node, a, b in zip(nodes, starts, stops)
     }
 
 

@@ -16,7 +16,7 @@ Public entry points
 :class:`ErrorLog`             — columnar, NumPy-backed event log.
 :func:`reduce_ue_bursts`      — keep only the first UE of each burst (§2.1.3).
 :func:`remove_retirement_bias` — drop events from admin-retired DIMMs (§2.1.4).
-:func:`merge_events`          — per-node per-minute event merging (§3.2.3).
+:func:`merge_step_ends`       — per-node per-minute step boundaries (§3.2.3).
 """
 
 from repro.telemetry.error_log import ErrorLog
@@ -30,7 +30,7 @@ from repro.telemetry.mcelog import (
     parse_mcelog,
     parse_ue_log,
 )
-from repro.telemetry.merging import MergedEvent, merge_events, merge_node_events
+from repro.telemetry.merging import merge_step_ends
 from repro.telemetry.records import (
     EventKind,
     EventRecord,
@@ -50,15 +50,13 @@ __all__ = [
     "EventRecord",
     "FaultModelConfig",
     "MANUFACTURER_NAMES",
-    "MergedEvent",
     "TelemetryGenerator",
     "format_full_log",
     "format_mcelog",
     "format_ue_log",
     "generate_error_log",
     "iter_mcelog_records",
-    "merge_events",
-    "merge_node_events",
+    "merge_step_ends",
     "parse_mcelog",
     "parse_ue_log",
     "prepare_log",

@@ -230,3 +230,18 @@ def test_out_of_order_events_rejected():
 def test_invalid_merge_window_rejected():
     with pytest.raises(ValueError, match="merge_window_seconds"):
         OnlineFeatureState(node=0, merge_window_seconds=0.0)
+
+
+@pytest.mark.parametrize("window", [float("nan"), 0.0, -1.0])
+def test_batch_and_online_extractors_reject_a_bad_merge_window(window):
+    # A NaN window passed a ``<= 0`` check, and the extractors then split
+    # three CEs 10 s apart into 3 steps (batch) and 1 step (online).
+    log = _log_from_columns(
+        time=np.array([0.0, 10.0, 20.0]),
+        kind=np.full(3, EventKind.CE, dtype=np.int8),
+        ce_count=np.ones(3, dtype=np.int64),
+    )
+    with pytest.raises(ValueError, match="merge_window_seconds"):
+        extract_node_features(log, 0, merge_window_seconds=window)
+    with pytest.raises(ValueError, match="merge_window_seconds"):
+        OnlineFeatureState(node=0, merge_window_seconds=window)

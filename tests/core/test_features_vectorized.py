@@ -1,26 +1,29 @@
 """Equivalence suite: vectorized feature extraction vs the reference loop.
 
-``extract_node_features`` was rewritten with cumulative array operations;
-``_extract_node_features_loop`` keeps the original per-event accumulation
-as the behavioural specification.  Both must agree *bit for bit* on fuzzed
-synthetic logs — the feature tracks feed every model downstream, so a
-single differing ulp would eventually surface as a golden-fingerprint
-drift.
+``build_feature_tracks`` and ``extract_node_features`` run one segmented
+array pass over node-major events; ``_extract_node_features_loop`` keeps the
+per-event accumulation as the behavioural specification.  They must agree
+*bit for bit* on fuzzed synthetic logs — the feature tracks feed every model
+downstream, so a single differing ulp would eventually surface as a
+golden-fingerprint drift.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ScenarioConfig
 from repro.core.features import (
     N_FEATURES,
     _extract_node_features_loop,
+    build_feature_tracks,
     extract_node_features,
 )
 from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.generator import TelemetryGenerator
+from repro.telemetry.merging import count_merged_events
 from repro.telemetry.records import EventKind
 from repro.telemetry.reduction import prepare_log
 
@@ -117,3 +120,59 @@ def test_empty_node_yields_empty_track():
     reference = _extract_node_features_loop(log, node=99)
     assert len(track) == 0 and len(reference) == 0
     assert track.features.shape == (0, N_FEATURES)
+
+
+_EVENT = st.tuples(
+    st.sampled_from([0, 3, 7, 12]),  # node
+    st.integers(0, 400).map(lambda tick: tick * 15.0),  # time: ties, windows
+    st.sampled_from(list(EventKind)),
+    st.integers(0, 5),  # ce_count
+    st.integers(0, 2),  # dimm
+    st.integers(-1, 1),  # rank
+    st.integers(-1, 1),  # bank
+    st.integers(-1, 2),  # row
+    st.integers(-1, 2),  # col
+)
+
+#: Fixed events on top of the drawn ones: node 20 has a CE sharing the
+#: timestamp of the UE before it, node 21 a single event and no CE or boot.
+_FIXED_EVENTS = [
+    (20, 100.0, EventKind.CE, 2, 0, 0, 0, 1, 1),
+    (20, 130.0, EventKind.UE, 0, 0, -1, -1, -1, -1),
+    (20, 130.0, EventKind.CE, 1, 1, 0, 1, 1, 1),
+    (21, 45.0, EventKind.UE_WARNING, 0, -1, -1, -1, -1, -1),
+]
+
+
+@given(
+    st.lists(_EVENT, max_size=60),
+    st.sampled_from([60.0, 45.0, 1.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_whole_log_pass_matches_reference_loop(drawn, merge_window):
+    events = sorted(drawn + _FIXED_EVENTS, key=lambda event: event[1])
+    columns = np.array([event[:2] for event in events], dtype=np.float64)
+    fields = np.array([event[2:] for event in events], dtype=np.int64)
+    log = _log_from_columns(
+        node=columns[:, 0].astype(np.int64),
+        time=columns[:, 1],
+        kind=fields[:, 0].astype(np.int8),
+        ce_count=fields[:, 1],
+        dimm=fields[:, 2],
+        rank=fields[:, 3].astype(np.int32),
+        bank=fields[:, 4].astype(np.int32),
+        row=fields[:, 5],
+        col=fields[:, 6],
+    )
+    tracks = build_feature_tracks(log, merge_window)
+    slices = log.node_slices()
+    assert list(tracks) == list(slices)
+    for node, indices in slices.items():
+        reference = _extract_node_features_loop(log, node, indices, merge_window)
+        track = tracks[node]
+        for name in ("times", "features", "is_ue"):
+            got, want = getattr(track, name), getattr(reference, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (node, name)
+    assert count_merged_events(log, merge_window) == sum(map(len, tracks.values()))
+    absent = extract_node_features(log, node=99, merge_window_seconds=merge_window)
+    assert absent.features.shape == (0, N_FEATURES)
