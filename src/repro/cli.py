@@ -41,6 +41,8 @@ Five subcommands over the :class:`~repro.study.Study` facade and the
 
 ``list``
     Inventory of a store: sweeps, experiment results, prepared products.
+    ``report``, ``list`` and ``gc`` never create a store: pointed at a path
+    without one they print ``error: no artifact store at PATH`` and exit 2.
 
 ``gc``
     Prune ``prepared/`` products no stored sweep or result references
@@ -69,9 +71,7 @@ stage runs under cProfile, the raw stats are merged across stages
 (``pstats.Stats.add``) and ONE top-cumulative-time table is printed after
 the report (per-stage tables plus the merged ``"total"`` entry are
 surfaced as ``result.extras["profile"]`` in the API).  The profile covers
-whatever the driver process executes — including the compiled decision
-kernels when ``--compiled`` is active, whose numba dispatchers are
-attributed like any other callable.
+whatever the driver process executes.
 
 Every table is rendered by :mod:`repro.evaluation.report` — the CLI prints
 exactly what the library's ``format_*`` helpers produce.
@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Any, List, Optional, Sequence
 
 from repro.config import ScenarioConfig
@@ -191,15 +192,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         "--profile",
         action="store_true",
         help="run each pipeline stage under cProfile and print one merged "
-        "top-cumulative-time table after the report (covers the compiled "
-        "kernels when --compiled is active)",
-    )
-    parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="dispatch the decision core's hottest loops to numba-compiled "
-        "kernels (results identical; falls back to numpy with a warning "
-        "when numba is not installed)",
+        "top-cumulative-time table after the report",
     )
 
 
@@ -471,8 +464,6 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["charge_training_time"] = args.charge_training_time
     if args.profile:
         overrides["profile"] = True
-    if args.compiled:
-        overrides["compiled"] = True
     return config.with_overrides(**overrides) if overrides else config
 
 
@@ -529,6 +520,17 @@ def _spec_from_args(args) -> SweepSpec:
 
 def _store_from_args(args) -> Optional[ArtifactStore]:
     return None if args.store is None else ArtifactStore(args.store)
+
+
+def _existing_store(path: str) -> ArtifactStore:
+    """The store at ``path`` for ``report``/``list``/``gc``, creating nothing.
+
+    A mistyped ``--store`` must not turn into a fresh, empty store.
+    """
+    if not (Path(path) / ArtifactStore.MARKER).is_file():
+        print(f"error: no artifact store at {path}", file=sys.stderr)
+        raise SystemExit(2)
+    return ArtifactStore(path)
 
 
 def _check_distributed_flags(args, store: Optional[ArtifactStore]) -> List[str]:
@@ -814,6 +816,13 @@ def _serve_policy(
     return RLPolicy(agent, normalizer)
 
 
+def _source_error(path: str, exc: Exception) -> int:
+    """Report an unreadable or malformed mcelog file in one line."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _cmd_serve(args) -> int:
     import asyncio
     import json
@@ -904,8 +913,13 @@ def _cmd_serve(args) -> int:
             from repro.telemetry.error_log import ErrorLog
             from repro.telemetry.mcelog import iter_mcelog_records
 
-            with open(args.source, "r", encoding="utf-8") as handle:
-                train_log = ErrorLog.from_records(list(iter_mcelog_records(handle)))
+            try:
+                with open(args.source, "r", encoding="utf-8") as handle:
+                    train_log = ErrorLog.from_records(
+                        list(iter_mcelog_records(handle))
+                    )
+            except (OSError, ValueError) as exc:
+                return _source_error(args.source, exc)
         cost_minutes = (
             args.mitigation_cost if args.mitigation_cost is not None else 2.0
         )
@@ -932,7 +946,12 @@ def _cmd_serve(args) -> int:
     )
     print(f"serving {described} with policy {policy.name}")
     service = DecisionService(policy, jobs, config)
-    report = asyncio.run(service.run(source))
+    try:
+        report = asyncio.run(service.run(source))
+    except (OSError, ValueError) as exc:
+        if args.source.startswith("preset:"):
+            raise
+        return _source_error(args.source, exc)
     print(report.summary())
     histogram = report.batch_size_histogram()
     if histogram:
@@ -971,7 +990,7 @@ def _pick_sweep_key(store: ArtifactStore, requested: Optional[str]) -> Optional[
 
 
 def _cmd_report(args) -> int:
-    store = ArtifactStore(args.store)
+    store = _existing_store(args.store)
     key = _pick_sweep_key(store, args.sweep)
     if key is None:
         return 2
@@ -984,7 +1003,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    store = ArtifactStore(args.store)
+    store = _existing_store(args.store)
     sweeps = store.list_sweeps()
     results = store.list_results()
     prepared = store.list_prepared()
@@ -1007,7 +1026,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_gc(args) -> int:
-    store = ArtifactStore(args.store)
+    store = _existing_store(args.store)
     report = store.gc(
         dry_run=args.dry_run, grace_seconds=args.grace_minutes * 60.0
     )

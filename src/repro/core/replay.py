@@ -34,8 +34,8 @@ steps are pre-drawn in one ``Generator.random`` call (raw doubles are
 stream-position-exact: ``uniform(low, high)`` is ``low + (high - low) *
 next_double`` per element, and each step's bounds are applied to its slice
 of the pool when the step actually happens, with whatever tree total is
-current then), and the sum-tree descent dispatches to the optional compiled
-kernel (:mod:`repro.core.kernels`).  The pre-wrap fallback rewinds the
+current then), and all of a step's values descend the sum tree together
+(:meth:`SumTree.sample_many`).  The pre-wrap fallback rewinds the
 generator to the pool's checkpoint, fast-forwards the doubles consumed by
 earlier steps, and replays the scalar loop verbatim — then discards the rest
 of the pool, whose stream positions it invalidated.
@@ -50,7 +50,6 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.mdp import Transition
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_fraction, check_positive
@@ -198,10 +197,6 @@ class SumTree:
             raise ValueError("cannot sample from an empty tree")
         values = np.asarray(values, dtype=np.float64).ravel().copy()
         np.clip(values, 0.0, np.nextafter(self.total, 0.0), out=values)
-        compiled = kernels.active()
-        if compiled is not None:
-            leaf = compiled.sumtree_descend(self._tree, values, self.capacity - 1)
-            return leaf - (self.capacity - 1), self._tree[leaf].copy()
         idx = np.zeros(values.shape, dtype=np.int64)
         n_internal = self.capacity - 1
         top = 2 * self.capacity - 2

@@ -57,7 +57,6 @@ import numpy as np
 from repro.baselines.dataset import build_prediction_dataset
 from repro.baselines.sc20 import SC20RandomForestPolicy, train_sc20_forest
 from repro.config import ScenarioConfig
-from repro.core import kernels
 from repro.core.dqn import DDDQNAgent, DQNConfig
 from repro.core.environment import MitigationEnv
 from repro.core.features import NodeFeatureTrack, StateNormalizer, build_feature_tracks
@@ -187,13 +186,6 @@ class ExperimentConfig:
     #: never changes results, only adds instrumentation in the driver
     #: process (the process-pool workers run outside the profiler).
     profile: bool = False
-    #: Dispatch the decision core's hottest residual loops (SumTree descent,
-    #: CART forest walk, replay cost fold) to numba-compiled kernels (CLI:
-    #: ``--compiled``; env: ``REPRO_COMPILED``).  Results are bit-identical
-    #: with the flag on or off — the kernels perform the same IEEE-754
-    #: operations in the same order — and when numba is not installed the
-    #: flag degrades to the pure-numpy path with a single RuntimeWarning.
-    compiled: bool = False
 
     @staticmethod
     def fast() -> "ExperimentConfig":
@@ -242,9 +234,10 @@ class ExperimentConfig:
         from repro.serialization import untag
 
         payload = dict(untag(data, "experiment_config"))
-        # Retired scheduling knob, still present in stores written before
-        # its removal; every other unknown key stays an error.
-        payload.pop("rl_trial_tasks", None)
+        # Retired scheduling knobs, still present in stores written before
+        # their removal; every other unknown key stays an error.
+        for name in ("rl_trial_tasks", "compiled"):
+            payload.pop(name, None)
         payload["rl_hidden_sizes"] = tuple(payload["rl_hidden_sizes"])
         payload["sc20_threshold_offsets"] = tuple(payload["sc20_threshold_offsets"])
         payload["rl_base_config"] = DQNConfig.from_dict(payload["rl_base_config"])
@@ -1401,7 +1394,6 @@ def run_split_group(
     not once per task); the task reads its experiment's entry ``label``.
     """
     ensure_sc20_variants(config)
-    kernels.apply_config(config.compiled)
     rl_state_in: Optional[dict] = None
     for outcome in deps.values():
         rl_state_in = outcome.rl_state
@@ -1424,7 +1416,6 @@ def run_rl_trial(
     outcome, whose ``rl_state`` seeds this split's warm start.  The prepared
     data is ``shared[label]``, as in :func:`run_split_group`.
     """
-    kernels.apply_config(config.compiled)
     previous_state: Optional[dict] = None
     for outcome in deps.values():
         previous_state = outcome.rl_state
@@ -1451,7 +1442,6 @@ def run_rl_reduce(
     as in :func:`run_split_group`.
     """
     ensure_sc20_variants(config)
-    kernels.apply_config(config.compiled)
     trial_results = [
         value for value in deps.values() if isinstance(value, RLTrialResult)
     ]

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ScenarioConfig
-from repro.core import kernels
 from repro.evaluation.costs import CostBreakdown
 from repro.evaluation.executor import ExecutorStats, Task, execute_tasks
 from repro.evaluation.pipeline import (
@@ -458,7 +457,6 @@ def run_sweep(
     complete sweep.
     """
     config = config or ExperimentConfig()
-    kernels.apply_config(config.compiled)
     cache = cache if cache is not None else default_prepared_cache()
     points = spec.points()
     started = time.perf_counter()

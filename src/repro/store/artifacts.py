@@ -101,14 +101,12 @@ class StoreGcReport:
 
 #: Experiment-config fields that select a *schedule* or a diagnostic, not a
 #: result: two runs differing only here produce identical numbers
-#: (golden-tested; ``profile`` only adds instrumentation, and ``compiled``
-#: swaps in kernels that perform the identical IEEE-754 operations), so
-#: they must share one result slot.
+#: (golden-tested; ``profile`` only adds instrumentation), so they must
+#: share one result slot.
 _SCHEDULE_FIELDS = (
     "n_workers",
     "executor_kind",
     "profile",
-    "compiled",
 )
 
 

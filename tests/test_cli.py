@@ -229,6 +229,23 @@ class TestServe:
                 ]
             )
 
+    @pytest.mark.parametrize("policy", ["never", "sc20"])
+    def test_serve_missing_file_is_a_one_line_error(self, policy, tmp_path, capsys):
+        missing = str(tmp_path / "missing.mcelog")
+        assert cli.main(["serve", "--source", missing, "--policy", policy]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {missing}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("policy", ["never", "sc20"])
+    def test_serve_malformed_line_is_a_one_line_error(self, policy, tmp_path, capsys):
+        path = tmp_path / "events.log"
+        path.write_text(self.EVENTS + "CE time=oops node=3\n")
+        assert cli.main(["serve", "--source", str(path), "--policy", policy]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 7: ")
+        assert err.count("\n") == 1
+
     def test_serve_trains_a_forest_on_the_file(self, tmp_path, capsys):
         """sc20 on a file source trains on the file's own contents."""
         # A handful of CE/UE pairs gives the dataset both classes.
@@ -249,18 +266,30 @@ class TestServe:
 
 
 class TestReportErrors:
-    def test_report_on_empty_store_fails_cleanly(self, tmp_path, capsys):
-        assert cli.main(["report", "--store", str(tmp_path / "runs")]) == 2
+    @pytest.fixture()
+    def empty_store(self, tmp_path):
+        from repro.store import ArtifactStore
+
+        return str(ArtifactStore(tmp_path / "runs").root)
+
+    def test_report_on_empty_store_fails_cleanly(self, empty_store, capsys):
+        assert cli.main(["report", "--store", empty_store]) == 2
         assert "no sweeps" in capsys.readouterr().err
 
-    def test_report_unknown_key_fails_cleanly(self, tmp_path, capsys):
-        assert (
-            cli.main(
-                ["report", "--store", str(tmp_path / "runs"), "--sweep", "f" * 16]
-            )
-            == 2
-        )
+    def test_report_unknown_key_fails_cleanly(self, empty_store, capsys):
+        assert cli.main(["report", "--store", empty_store, "--sweep", "f" * 16]) == 2
         assert "no stored sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "list", "gc"])
+    def test_read_only_commands_never_create_a_store(
+        self, command, tmp_path, capsys
+    ):
+        missing = tmp_path / "runz"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--store", str(missing)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: no artifact store at {missing}\n"
+        assert not missing.exists()
 
 
 class TestSweepLifecycle:

@@ -207,12 +207,18 @@ class TestKeyStability:
         ]
 
 
-class TestRetiredConfigKey:
-    """Stores written while ``ExperimentConfig`` had ``rl_trial_tasks``."""
+RETIRED_KEYS = pytest.mark.parametrize(
+    ("name", "value"), [("rl_trial_tasks", False), ("compiled", True)]
+)
 
-    def test_config_payload_with_the_retired_key_loads(self):
+
+class TestRetiredConfigKey:
+    """Stores written while ``ExperimentConfig`` had a since-retired field."""
+
+    @RETIRED_KEYS
+    def test_config_payload_with_the_retired_key_loads(self, name, value):
         payload = TINY.to_dict()
-        payload["rl_trial_tasks"] = False
+        payload[name] = value
         assert ExperimentConfig.from_dict(payload) == TINY
         # Every other unknown key is still an error.
         payload["no_such_field"] = 1
@@ -308,11 +314,14 @@ class TestGarbageCollection:
         # A second pass is a no-op.
         assert store.gc(grace_seconds=0.0).removed == ()
 
-    def test_result_payloads_with_the_retired_key_load_and_gc(self, populated):
+    @RETIRED_KEYS
+    def test_result_payloads_with_the_retired_key_load_and_gc(
+        self, populated, name, value
+    ):
         store, referenced_key, orphan_key = populated
         (key,) = store.backend.list("results/")
         payload = json.loads(store.backend.get(key))
-        payload["config"]["rl_trial_tasks"] = False
+        payload["config"][name] = value
         store.backend.put(key, json.dumps(payload).encode("utf-8"))
         assert store.load_result(SCENARIO, TINY) is not None
         assert store.gc(grace_seconds=0.0).removed == (orphan_key,)
